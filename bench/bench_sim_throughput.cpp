@@ -48,8 +48,8 @@
 #include "serve/sweep.hpp"
 #include "sim/perfsim.hpp"
 #include "util/metrics.hpp"
+#include "util/parallel.hpp"
 #include "util/structural_cache.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/workload.hpp"
 
 using namespace autopower;
@@ -157,7 +157,11 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   const auto axes = serve::parse_grid(kGrid);
-  const auto configs = serve::expand_grid(arch::boom_config("C8"), axes);
+  const serve::GridCursor cursor(arch::boom_config("C8"), axes);
+  std::vector<arch::HardwareConfig> configs;
+  for (std::size_t n = 0; n < cursor.size(); ++n) {
+    configs.push_back(cursor.config_at(n));
+  }
   std::vector<const workload::WorkloadProfile*> profiles;
   for (const auto& name : kWorkloads) {
     profiles.push_back(&workload::workload_by_name(name));
@@ -221,31 +225,27 @@ int main(int argc, char** argv) {
     util::StructuralSimCache::Stats private_total{};
     std::mutex stats_mu;
     std::atomic<std::size_t> next{0};
-    util::ThreadPool pool(4);
-    for (std::size_t w = 0; w < 4; ++w) {
-      pool.submit([&] {
-        auto mine = share ? cache
-                          : std::make_shared<util::StructuralSimCache>();
-        {
-          // Scoped so the simulator's private L1 flushes its counters
-          // back into `mine` before the stats are read.
-          sim::PerfSimulator sim(sim::SimOptions{}, mine);
-          for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= evals) break;
-            (void)sim.simulate(configs[i / profiles.size()],
-                               *profiles[i % profiles.size()]);
-          }
+    util::run_workers(4, [&](std::size_t) {
+      auto mine = share ? cache
+                        : std::make_shared<util::StructuralSimCache>();
+      {
+        // Scoped so the simulator's private L1 flushes its counters
+        // back into `mine` before the stats are read.
+        sim::PerfSimulator sim(sim::SimOptions{}, mine);
+        for (;;) {
+          const std::size_t i = next.fetch_add(1);
+          if (i >= evals) break;
+          (void)sim.simulate(configs[i / profiles.size()],
+                             *profiles[i % profiles.size()]);
         }
-        if (!share) {
-          const auto s = mine->stats();
-          std::lock_guard lock(stats_mu);
-          private_total.hits += s.hits;
-          private_total.misses += s.misses;
-        }
-      });
-    }
-    pool.wait_idle();
+      }
+      if (!share) {
+        const auto s = mine->stats();
+        std::lock_guard lock(stats_mu);
+        private_total.hits += s.hits;
+        private_total.misses += s.misses;
+      }
+    });
     return share ? cache->stats() : private_total;
   };
   const auto shared_4t = worker_sweep(true);
@@ -272,27 +272,21 @@ int main(int argc, char** argv) {
   std::vector<double> old_mw(evals);
   std::atomic<std::size_t> next{0};
   start = std::chrono::steady_clock::now();
-  {
-    util::ThreadPool pool(4);
-    for (std::size_t w = 0; w < 4; ++w) {
-      pool.submit([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= evals) break;
-          const auto& cfg = configs[i / profiles.size()];
-          const auto& profile = *profiles[i % profiles.size()];
-          sim::PerfSimulator sim;
-          core::EvalContext ctx;
-          ctx.cfg = &cfg;
-          ctx.workload = profile.name;
-          ctx.program = workload::program_features(profile);
-          ctx.events = sim.simulate(cfg, profile);
-          old_mw[i] = model.predict_total(ctx);
-        }
-      });
+  util::run_workers(4, [&](std::size_t) {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= evals) break;
+      const auto& cfg = configs[i / profiles.size()];
+      const auto& profile = *profiles[i % profiles.size()];
+      sim::PerfSimulator sim;
+      core::EvalContext ctx;
+      ctx.cfg = &cfg;
+      ctx.workload = profile.name;
+      ctx.program = workload::program_features(profile);
+      ctx.events = sim.simulate(cfg, profile);
+      old_mw[i] = model.predict_total(ctx);
     }
-    pool.wait_idle();
-  }
+  });
   const double sweep_old_s = seconds_since(start);
 
   serve::SweepSpec spec;

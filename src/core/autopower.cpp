@@ -1,16 +1,13 @@
 #include "core/autopower.hpp"
 
-#include <algorithm>
-#include <exception>
+#include <atomic>
 #include <fstream>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "util/archive.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace autopower::core {
 
@@ -43,14 +40,8 @@ void AutoPowerModel::train(std::span<const EvalContext> samples,
                            std::size_t threads) {
   AP_REQUIRE(!samples.empty(), "AutoPower needs training samples");
   util::ScopedTimer train_timer(train_metrics().train_ns);
-  // Never fan out past the physical core count: on a 1-core box the
-  // pool's context switching costs more than the parallelism buys
-  // (train_speedup 0.951 at --threads 4 before this clamp).  Results
-  // are thread-count-invariant, so the clamp cannot change the model.
-  threads = std::min<std::size_t>(
-      threads, std::max(1u, std::thread::hardware_concurrency()));
-  // Reset every slot up front (serially — cheap) so the fit tasks below
-  // only ever touch their own component's models.
+  // Reset every slot up front (serially — cheap) so the fits below only
+  // ever touch their own component's models.
   for (arch::ComponentKind c : arch::all_components()) {
     const auto i = static_cast<std::size_t>(c);
     clock_[i] = ClockPowerModel(options_.clock);
@@ -58,71 +49,39 @@ void AutoPowerModel::train(std::span<const EvalContext> samples,
     logic_[i] = LogicPowerModel(options_.logic);
   }
 
-  if (threads <= 1) {
-    for (arch::ComponentKind c : arch::all_components()) {
+  // 22 components x 3 groups = 66 independent fits, claimed off one
+  // counter.  Each fit writes one pre-reset slot and nothing else, so the
+  // trained model does not depend on scheduling: archives are
+  // byte-identical at any thread count.
+  const auto components = arch::all_components();
+  constexpr std::size_t kGroups = 3;
+  const std::size_t fits = components.size() * kGroups;
+  std::atomic<std::size_t> next{0};
+  util::run_workers(util::worker_count(threads, fits), [&](std::size_t) {
+    for (std::size_t f = next.fetch_add(1, std::memory_order_relaxed);
+         f < fits; f = next.fetch_add(1, std::memory_order_relaxed)) {
+      const arch::ComponentKind c = components[f / kGroups];
       const auto i = static_cast<std::size_t>(c);
-      {
-        util::ScopedTimer t(train_metrics().clock_fit_ns);
-        clock_[i].train(c, samples, golden);
+      switch (f % kGroups) {
+        case 0: {
+          util::ScopedTimer t(train_metrics().clock_fit_ns);
+          clock_[i].train(c, samples, golden);
+          break;
+        }
+        case 1: {
+          util::ScopedTimer t(train_metrics().sram_fit_ns);
+          sram_[i].train(c, samples, golden);
+          break;
+        }
+        default: {
+          util::ScopedTimer t(train_metrics().logic_fit_ns);
+          logic_[i].train(c, samples, golden);
+          break;
+        }
       }
-      {
-        util::ScopedTimer t(train_metrics().sram_fit_ns);
-        sram_[i].train(c, samples, golden);
-      }
-      {
-        util::ScopedTimer t(train_metrics().logic_fit_ns);
-        logic_[i].train(c, samples, golden);
-      }
-      train_metrics().submodel_fits.add(3);
+      train_metrics().submodel_fits.inc();
     }
-    trained_ = true;
-    refresh_fingerprint();
-    return;
-  }
-
-  // 22 components x 3 groups = 66 independent fits.  Each task writes one
-  // pre-reset slot and nothing else, so the trained model does not depend
-  // on scheduling: archives are byte-identical at any thread count.  The
-  // pool's workers swallow exceptions (a serving-layer contract), so each
-  // task captures its own failure; the first one is rethrown here.
-  util::ThreadPool pool(threads);
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  const auto guarded = [&err_mu, &first_error](auto&& fit) {
-    try {
-      fit();
-    } catch (...) {
-      std::lock_guard lock(err_mu);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-  for (arch::ComponentKind c : arch::all_components()) {
-    const auto i = static_cast<std::size_t>(c);
-    pool.submit([&, c, i] {
-      guarded([&] {
-        util::ScopedTimer t(train_metrics().clock_fit_ns);
-        clock_[i].train(c, samples, golden);
-      });
-      train_metrics().submodel_fits.inc();
-    });
-    pool.submit([&, c, i] {
-      guarded([&] {
-        util::ScopedTimer t(train_metrics().sram_fit_ns);
-        sram_[i].train(c, samples, golden);
-      });
-      train_metrics().submodel_fits.inc();
-    });
-    pool.submit([&, c, i] {
-      guarded([&] {
-        util::ScopedTimer t(train_metrics().logic_fit_ns);
-        logic_[i].train(c, samples, golden);
-      });
-      train_metrics().submodel_fits.inc();
-    });
-  }
-  pool.wait_idle();
-  pool.shutdown();
-  if (first_error) std::rethrow_exception(first_error);
+  });
   trained_ = true;
   refresh_fingerprint();
 }
@@ -259,11 +218,7 @@ std::vector<double> AutoPowerModel::predict_total_batch(
 
 std::vector<double> AutoPowerModel::predict_trace(
     std::span<const EvalContext> windows) const {
-  const auto results = predict_batch(windows);
-  std::vector<double> out;
-  out.reserve(results.size());
-  for (const auto& r : results) out.push_back(r.total());
-  return out;
+  return predict_total_batch(windows);
 }
 
 const ClockPowerModel& AutoPowerModel::clock_model(

@@ -42,8 +42,8 @@ struct AutoPowerOptions {
 ///
 /// Thread safety: train(), load() and the file wrappers mutate the model
 /// and must not run concurrently with anything else.  train() may itself
-/// fan the independent sub-model fits across an internal worker pool
-/// (`threads` parameter); each task writes a disjoint per-component slot,
+/// fan the independent sub-model fits across worker threads (`threads`
+/// parameter); each fit writes a disjoint per-component slot,
 /// so the trained model — and hence its saved archive — is byte-identical
 /// at any thread count.  Once training or loading has completed, every
 /// const method — predict(), predict_batch(), predict_total(),
@@ -51,7 +51,7 @@ struct AutoPowerOptions {
 /// immutable state and is safe to call concurrently from any number of
 /// threads on one shared instance (the serving layer in src/serve/ relies
 /// on this: a model is published as shared_ptr<const AutoPowerModel> and
-/// queried by a whole thread pool).
+/// queried by many worker threads at once).
 class AutoPowerModel {
  public:
   AutoPowerModel() = default;
@@ -60,8 +60,9 @@ class AutoPowerModel {
   /// Trains every per-component group model.  `samples` should cover the
   /// known configurations x training workloads; golden labels are read
   /// from the golden flow (synthesis reports, RTL activity, power sim).
-  /// With `threads > 1` the 22 x 3 independent sub-model fits run on a
-  /// worker pool; results land in fixed per-component slots, so the model
+  /// With `threads > 1` the 22 x 3 independent sub-model fits run on up
+  /// to that many workers (util::worker_count clamps it to the host);
+  /// results land in fixed per-component slots, so the model
   /// is identical (archives byte-equal) at any thread count.
   void train(std::span<const EvalContext> samples,
              const power::GoldenPowerModel& golden, std::size_t threads = 1);
@@ -88,7 +89,8 @@ class AutoPowerModel {
   [[nodiscard]] std::vector<double> predict_total_batch(
       std::span<const EvalContext> ctxs) const;
 
-  /// Per-window total power for a time-based power trace.
+  /// Per-window total power for a time-based power trace: exactly
+  /// predict_total_batch(windows).
   [[nodiscard]] std::vector<double> predict_trace(
       std::span<const EvalContext> windows) const;
 

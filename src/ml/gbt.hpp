@@ -28,7 +28,7 @@ namespace autopower::ml {
 struct GbtOptions {
   int num_rounds = 120;
   double learning_rate = 0.12;
-  TreeOptions tree;
+  TreeOptions tree{};
   /// If true, predictions are clamped to be non-negative (rates, powers).
   bool nonnegative_prediction = false;
 };

@@ -247,9 +247,14 @@ Daemon::~Daemon() {
 std::uint16_t Daemon::port() const noexcept { return listener_->port(); }
 
 void Daemon::notify_stop() noexcept {
-  // Async-signal-safe: write(2) only.  One byte is enough; extra bytes
-  // from repeated signals are harmless (the accept loop drains the pipe
-  // and acts once per wake-up; 's' always wins over 'h').
+  // Async-signal-safe: a lock-free atomic store and write(2) only.  The
+  // store comes first, so once this returns every reader refuses new
+  // compute/reload lines and health reports "draining" — without waiting
+  // for the acceptor thread to wake.  One pipe byte is enough; extra
+  // bytes from repeated signals are harmless (the accept loop drains the
+  // pipe and acts once per wake-up; 's' always wins over 'h').
+  static_assert(std::atomic<bool>::is_always_lock_free);
+  draining_.store(true, std::memory_order_seq_cst);
   const char byte = 's';
   [[maybe_unused]] const ssize_t n = ::write(stop_pipe_[1], &byte, 1);
 }
@@ -282,7 +287,7 @@ Daemon::Stats Daemon::stats() const noexcept {
   Stats out;
   out.accepted = accepted_.load(std::memory_order_relaxed);
   out.active = active_.load(std::memory_order_relaxed);
-  out.requests = requests_.load(std::memory_order_relaxed);
+  out.requests = requests_.load(std::memory_order_acquire);
   out.shed = shed_.load(std::memory_order_relaxed);
   out.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
   out.net_errors = net_errors_.load(std::memory_order_relaxed);
@@ -362,10 +367,11 @@ void Daemon::serve() {
   // Graceful drain, two phases.
   //
   // Phase 1 — stop the world politely: close the listener (load
-  // balancers now see refused connects), flip draining_ so readers
-  // answer new compute/reload lines with {"error": "draining"} while
-  // health keeps responding with "status": "draining", and wait for
-  // every already-admitted request to be popped AND delivered.  Clients
+  // balancers now see refused connects), and wait for every
+  // already-admitted request to be popped AND delivered.  draining_ is
+  // already set by notify_stop() (set again here for a dead pipe), so
+  // readers answer new compute/reload lines with {"error": "draining"}
+  // while health keeps responding with "status": "draining".  Clients
   // that sent work before the drain get every response.
   draining_.store(true, std::memory_order_seq_cst);
   listener_->close();
@@ -428,14 +434,17 @@ void Daemon::handle_connection(Connection& conn) {
         continue;
       }
 
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.requests.inc();
-
       // Draining gate (phase 1): the listener is closed, but clients that
       // connected earlier may still send.  New work is refused with a
       // structured error so load balancers retry elsewhere; responses for
-      // already-admitted requests keep flowing.
-      if (draining_.load(std::memory_order_relaxed)) {
+      // already-admitted requests keep flowing.  The decision is taken
+      // before the request is counted (release, paired with the acquire
+      // in stats()): a caller that sees stats().requests cover this line
+      // and then calls notify_stop() cannot get it refused.
+      const bool draining = draining_.load(std::memory_order_relaxed);
+      requests_.fetch_add(1, std::memory_order_release);
+      metrics_.requests.inc();
+      if (draining) {
         BatchResponse refused;
         refused.index = seq;
         refused.config = request.request.config;

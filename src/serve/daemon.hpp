@@ -65,13 +65,14 @@
 // depend on any of this ordering: every engine memo key carries the
 // model's archive fingerprint.
 //
-// Graceful drain: notify_stop() (async-signal-safe — it only write(2)s
-// one byte to an internal pipe, so the CLI's SIGINT/SIGTERM handler may
-// call it directly) makes serve() stop accepting and drain in two
-// phases.  Phase 1: the listener closes (so load balancers see refused
-// connects) and NEW compute/reload lines are answered {"error":
-// "draining"}, while {"cmd": "health"} keeps answering — with "status":
-// "draining" — and every already-admitted request finishes and flushes.
+// Graceful drain: notify_stop() (async-signal-safe — one lock-free
+// atomic store plus a one-byte write(2) to an internal pipe, so the
+// CLI's SIGINT/SIGTERM handler may call it directly) makes serve() stop
+// accepting and drain in two phases.  From the moment notify_stop()
+// returns, NEW compute/reload lines are answered {"error": "draining"},
+// while {"cmd": "health"} keeps answering — with "status": "draining".
+// Phase 1: the listener closes (so load balancers see refused connects)
+// and every already-admitted request finishes and flushes.
 // Phase 2: once the queue and dispatcher have run dry, every client is
 // half-closed for reading, buffered lines are still parsed and
 // answered, connections flush and close, threads join, serve()
@@ -79,9 +80,9 @@
 //
 // Thread model: one acceptor (the caller of serve()), one dispatcher,
 // one reader thread per live connection (bounded by max_connections).
-// Readers are the "multiple submitting threads" the BatchEngine/
-// ThreadPool multi-submitter contract exists for — they only touch the
-// bounded queue; exactly one dispatcher calls engine.run() at a time.
+// Readers only touch the bounded admission queue; exactly one
+// dispatcher calls engine.run() at a time, and each run() forks and
+// joins its own worker threads.
 #pragma once
 
 #include <atomic>
@@ -171,7 +172,9 @@ class Daemon {
   /// One-shot: a Daemon cannot be re-served after it drained.
   void serve();
 
-  /// Requests a graceful drain.  Async-signal-safe and idempotent.
+  /// Requests a graceful drain.  Async-signal-safe and idempotent.  Once
+  /// it returns, new compute/reload lines are refused "draining" and
+  /// health reports "status": "draining".
   void notify_stop() noexcept;
 
   /// Requests a reload of every disk-backed model slot (the SIGHUP

@@ -1,17 +1,14 @@
 #include "serve/engine.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <functional>
-#include <thread>
 #include <utility>
 
 #include "arch/component.hpp"
-#include "util/fault.hpp"
-#include "util/thread_pool.hpp"
 #include "util/error.hpp"
+#include "util/fault.hpp"
+#include "util/parallel.hpp"
 #include "workload/workload.hpp"
 
 namespace autopower::serve {
@@ -78,21 +75,6 @@ BatchEngine::BatchEngine(std::shared_ptr<const core::AutoPowerModel> model,
                util::MetricsRegistry::global().histogram(
                    "serve.batch.batch_size")} {
   AP_REQUIRE(model_ != nullptr, "BatchEngine: null model");
-  if (options_.threads == 0) options_.threads = 1;
-  // Clamp worker fan-out to the physical core count — oversubscribing a
-  // small box adds context-switch latency without adding throughput.
-  // Responses are order-preserving and thread-count-invariant, so the
-  // clamp never changes a result — but a threaded request must stay
-  // threaded: the serial path in run() propagates a handle() failure
-  // while the worker path isolates it per request, so clamping 4 -> 1
-  // on a single-core host would change error semantics, not just
-  // scheduling.  Hence the floor of 2 whenever the caller asked for
-  // more than one worker.
-  if (options_.threads > 1) {
-    options_.threads = std::min(
-        options_.threads,
-        std::max<std::size_t>(2, std::thread::hardware_concurrency()));
-  }
 }
 
 EvalCache::Stats BatchEngine::response_stats() const noexcept {
@@ -247,35 +229,17 @@ std::vector<BatchResponse> BatchEngine::run(
   // never tear this batch across two models.
   const std::shared_ptr<const core::AutoPowerModel> pinned = model();
 
-  const std::size_t workers =
-      std::min(options_.threads, requests.size());
-  if (workers <= 1) {
-    sim::PerfSimulator sim(sim::SimOptions{}, structural_);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      util::ScopedTimer timer(metrics_.request_latency_ns);
-      responses[i] = handle(requests[i], i, sim, *pinned);
-    }
-    finish_run(responses);
-    return responses;
-  }
-
-  // One long-lived task per worker; workers pull request indices off a
-  // shared atomic counter and write into disjoint response slots, so the
-  // output is in input order by construction.  Each worker owns a private
-  // PerfSimulator — its phase-rate memo is not thread-safe to share — but
-  // all of them share the engine's structural cache, so cache/TLB/branch
-  // measurements (for simulate AND simulate_trace) dedupe across workers.
+  // Workers pull request indices off a shared atomic counter and write
+  // into disjoint response slots, so the output is in input order by
+  // construction.  Each worker owns a private PerfSimulator — its
+  // phase-rate memo is not thread-safe to share — but all of them share
+  // the engine's structural cache, so cache/TLB/branch measurements (for
+  // simulate AND simulate_trace) dedupe across workers.
   //
-  // Completion is pool.wait_idle(), not a latch counted down inside the
-  // tasks: a task that dies before reaching its count-down (an exception
-  // escaping handle(), or the pool failing to launch the task at all)
-  // would strand a latch forever, turning one lost worker into a hung
-  // batch.  wait_idle() is maintained by the pool itself and therefore
-  // survives any task failure; requests a dead worker would have claimed
-  // are still drained by its siblings off the shared counter.
-  // Prefill every slot as a clean "not processed" failure: if a worker
-  // task is lost before claiming any index (launch failure), the batch
-  // still returns well-formed error responses instead of empty ones.
+  // Every slot is prefilled as a clean "not processed" failure: a worker
+  // lost before claiming an index (it failed to start, or died at
+  // launch) leaves its share to its siblings, and whatever no worker
+  // claimed still comes back as a well-formed error response.
   for (std::size_t i = 0; i < requests.size(); ++i) {
     responses[i].index = i;
     responses[i].config = requests[i].config;
@@ -285,42 +249,43 @@ std::vector<BatchResponse> BatchEngine::run(
     responses[i].error = "request not processed (worker lost)";
   }
   std::atomic<std::size_t> next{0};
-  util::ThreadPool pool(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.submit([this, &requests, &responses, &next, &pinned, run_start] {
-      sim::PerfSimulator sim(sim::SimOptions{}, structural_);
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= requests.size()) break;
-        // Queue wait: how long this request sat in the batch before a
-        // worker picked it up (requests are all "enqueued" at run start).
-        if (util::MetricsRegistry::enabled()) {
-          metrics_.queue_wait_ns.observe(static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - run_start)
-                  .count()));
-        }
-        util::ScopedTimer timer(metrics_.request_latency_ns);
-        // A request whose failure escapes handle() (it only catches
-        // inside compute()) must fail alone, exactly like a bad request:
-        // its slot gets an error response and the worker moves on to the
-        // next index instead of taking its remaining share of the batch
-        // down with it.
-        try {
-          responses[i] = handle(requests[i], i, sim, *pinned);
-        } catch (const std::exception& e) {
-          responses[i] = BatchResponse{};
-          responses[i].index = i;
-          responses[i].config = requests[i].config;
-          responses[i].workload = requests[i].workload;
-          responses[i].mode = requests[i].mode;
-          responses[i].ok = false;
-          responses[i].error = e.what();
-        }
+  const auto worker = [&](std::size_t) {
+    sim::PerfSimulator sim(sim::SimOptions{}, structural_);
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= requests.size()) break;
+      // Queue wait: how long this request sat in the batch before a
+      // worker picked it up (requests are all "enqueued" at run start).
+      if (util::MetricsRegistry::enabled()) {
+        metrics_.queue_wait_ns.observe(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - run_start)
+                .count()));
       }
-    });
+      util::ScopedTimer timer(metrics_.request_latency_ns);
+      // A request whose failure escapes handle() (it only catches inside
+      // compute()) fails alone, exactly like a bad request: its slot gets
+      // an error response and the worker moves on to the next index.
+      try {
+        responses[i] = handle(requests[i], i, sim, *pinned);
+      } catch (const std::exception& e) {
+        responses[i] = BatchResponse{};
+        responses[i].index = i;
+        responses[i].config = requests[i].config;
+        responses[i].workload = requests[i].workload;
+        responses[i].mode = requests[i].mode;
+        responses[i].ok = false;
+        responses[i].error = e.what();
+      }
+    }
+  };
+  try {
+    util::run_workers(util::worker_count(options_.threads, requests.size()),
+                      worker);
+  } catch (const std::exception&) {
+    // A lost worker is already visible in the response slots it never
+    // filled; the batch itself always completes.
   }
-  pool.wait_idle();
   finish_run(responses);
   return responses;
 }

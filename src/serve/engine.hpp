@@ -1,4 +1,4 @@
-// Batch inference engine — fans a request list out across a thread pool.
+// Batch inference engine — fans a request list out across worker threads.
 //
 // One engine wraps a PUBLISHED immutable model snapshot (from
 // serve::ModelRegistry or any shared_ptr<const AutoPowerModel>) plus three
@@ -25,21 +25,22 @@
 // Determinism contract: the simulator, feature extraction, and the model
 // are all deterministic, so `run(reqs)` is bit-identical for any thread
 // count — including the serial `predict` loop it replaces.  A request
-// that fails (unknown config/workload, untrained model) yields ok=false
-// with the error message; it never aborts the rest of the batch.
+// that fails (unknown config/workload, untrained model, or any exception
+// escaping its evaluation) yields ok=false with the error message, at
+// every thread count; it never aborts the rest of the batch, and run()
+// itself does not throw for it.
 //
-// Multi-caller contract (audited for the serving daemon, where several
-// connection handlers share one engine): run() is safe to call from
-// multiple threads concurrently.  Each call owns its ThreadPool, its
-// worker simulators, and its response vector; the state shared across
-// calls — the EvalCache (sharded, internally locked), the response memo
-// (mutex per shard), the StructuralSimCache, and the hit/miss atomics —
-// is individually thread-safe, and each model snapshot is immutable
+// Multi-caller contract: run() is safe to call from multiple threads
+// concurrently.  Each call owns its worker threads, its worker
+// simulators, and its response vector; the state shared across calls —
+// the EvalCache (sharded, internally locked), the response memo (mutex
+// per shard), the StructuralSimCache, and the hit/miss atomics — is
+// individually thread-safe, and each model snapshot is immutable
 // (swap_model() replaces the published handle; it never mutates a model).
 // Concurrent calls therefore stay bit-identical per call; only the
-// aggregate cache counters interleave.  (The daemon still funnels
-// requests through ONE dispatcher call at a time — not for safety, but
-// so cross-client coalescing actually shares batch overhead.)
+// aggregate cache counters interleave.  The serving daemon makes exactly
+// one run() call at a time, from its dispatcher thread, so cross-client
+// coalescing shares batch overhead.
 #pragma once
 
 #include <atomic>
@@ -100,6 +101,8 @@ struct BatchResponse {
 };
 
 struct EngineOptions {
+  /// Requested workers per run(); util::worker_count clamps it to the
+  /// host's cores and the batch size.
   std::size_t threads = 1;
   std::size_t cache_shards = 16;
   /// Memoise whole responses per (config, workload, mode).  The model is
@@ -148,9 +151,6 @@ class BatchEngine {
   /// `misses == memoised responses + failed computes` and
   /// `hits + misses == memoised-path lookups` stays exact.
   [[nodiscard]] EvalCache::Stats response_stats() const noexcept;
-  [[nodiscard]] std::size_t threads() const noexcept {
-    return options_.threads;
-  }
 
  private:
   struct ResponseShard {

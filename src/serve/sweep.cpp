@@ -7,7 +7,6 @@
 #include <exception>
 #include <limits>
 #include <ostream>
-#include <thread>
 #include <utility>
 
 #include "arch/events.hpp"
@@ -17,8 +16,8 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
+#include "util/parallel.hpp"
 #include "util/parse.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/workload.hpp"
 
 namespace autopower::serve {
@@ -109,7 +108,7 @@ void GridCursor::values_at(std::size_t index,
                            std::array<int, arch::kNumHwParams>& values) const {
   values = base_values_;
   // Mixed-radix decode, last axis fastest (the first axis varies
-  // slowest), matching the materialised expansion's enumeration order.
+  // slowest).
   std::size_t n = index;
   for (std::size_t a = axes_.size(); a-- > 0;) {
     const SweepAxis& axis = axes_[a];
@@ -144,19 +143,6 @@ arch::HardwareConfig GridCursor::config_at(std::size_t index) const {
   std::string name;
   format_name(index, name);
   return arch::HardwareConfig(std::move(name), values);
-}
-
-std::vector<arch::HardwareConfig> expand_grid(
-    const arch::HardwareConfig& base, std::span<const SweepAxis> axes) {
-  const GridCursor cursor(base, axes);
-  AP_REQUIRE(cursor.size() <= 1'000'000,
-             "grid expands to more than 1e6 configurations");
-  std::vector<arch::HardwareConfig> out;
-  out.reserve(cursor.size());
-  for (std::size_t n = 0; n < cursor.size(); ++n) {
-    out.push_back(cursor.config_at(n));
-  }
-  return out;
 }
 
 namespace {
@@ -387,22 +373,12 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
   auto& m_stolen = registry.counter("serve.sweep.chunks_stolen");
   const auto sweep_start = std::chrono::steady_clock::now();
 
-  // Worker count: requested threads, clamped to the host (floor of two
-  // when threading was asked for, so threaded semantics survive 1-core
-  // hosts — the serve/train convention) and to the config count.
-  std::size_t requested = spec.threads == 0 ? 1 : spec.threads;
-  if (requested > 1) {
-    requested = std::min<std::size_t>(
-        requested,
-        std::max<std::size_t>(2, std::thread::hardware_concurrency()));
-  }
-  const std::size_t workers =
-      std::min(requested, std::max<std::size_t>(n_configs, 1));
+  const std::size_t workers = util::worker_count(spec.threads, n_configs);
 
   // Contiguous per-worker shards + per-chunk work stealing: a worker
   // drains its own shard in chunks, then scans the others and steals
   // chunks from whatever is left, so one expensive region of the grid
-  // cannot idle the rest of the pool.
+  // cannot idle the other workers.
   const auto shards = std::make_unique<WorkerShard[]>(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     shards[w].next.store(n_configs * w / workers,
@@ -452,26 +428,10 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
     }
   };
 
-  if (workers <= 1) {
-    worker_loop(0);
-  } else {
-    // wait_idle(), not an in-task latch: a worker task lost to an
-    // exception (or never launched) must not strand the sweep forever —
-    // the pool's own idle barrier survives task failures, and siblings
-    // steal the remaining chunks off the shared shards.
-    util::ThreadPool pool(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.submit([&worker_loop, w] { worker_loop(w); });
-    }
-    pool.wait_idle();
-    const util::ThreadPool::TaskFailures failures = pool.task_failures();
-    if (failures.count > 0) {
-      // A lost worker means unevaluated configs and possibly unwritten
-      // checkpoint rows; the sweep is incomplete, so fail loudly rather
-      // than rank a partial grid.
-      throw util::Error("sweep worker failed: " + failures.first_error);
-    }
-  }
+  // A worker lost to an exception leaves its shard to be stolen, but the
+  // sweep is still incomplete (possibly with unwritten checkpoint rows),
+  // so run_workers rethrows rather than let a partial grid be ranked.
+  util::run_workers(workers, worker_loop);
   if (checkpoint != nullptr) checkpoint->close();
 
   SweepReport report;
@@ -544,20 +504,10 @@ std::vector<SweepRow> evaluate_configs(
   std::vector<SweepRow> rows(configs.size());
   if (configs.empty()) return rows;
 
-  // Same worker-count clamp as run_sweep (floor of two when threading
-  // was requested, so threaded semantics survive 1-core hosts).
-  std::size_t requested = threads == 0 ? 1 : threads;
-  if (requested > 1) {
-    requested = std::min<std::size_t>(
-        requested,
-        std::max<std::size_t>(2, std::thread::hardware_concurrency()));
-  }
-  const std::size_t workers = std::min(requested, configs.size());
-
   // Results land at their input index, so the output order (and every
   // byte of it) is independent of the claim schedule.
   std::atomic<std::size_t> next{0};
-  const auto worker_loop = [&] {
+  const auto worker_loop = [&](std::size_t) {
     sim::PerfSimulator sim(sim::SimOptions{}, structural);
     for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
          i < configs.size();
@@ -569,18 +519,7 @@ std::vector<SweepRow> evaluate_configs(
                m_cell_latency);
     }
   };
-  if (workers <= 1) {
-    worker_loop();
-  } else {
-    util::ThreadPool pool(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.submit(worker_loop);
-    pool.wait_idle();
-    const util::ThreadPool::TaskFailures failures = pool.task_failures();
-    if (failures.count > 0) {
-      throw util::Error("evaluate_configs worker failed: " +
-                        failures.first_error);
-    }
-  }
+  util::run_workers(util::worker_count(threads, configs.size()), worker_loop);
   return rows;
 }
 

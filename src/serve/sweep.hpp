@@ -3,7 +3,7 @@
 // The workload architecture-level power models exist for: enumerate a
 // config-grid spec (axis lists over Table II hardware parameters applied
 // to a base configuration), evaluate every (configuration, workload) cell
-// — performance simulation + power prediction — across a thread pool, and
+// — performance simulation + power prediction — across worker threads, and
 // rank the configurations into a JSONL report.
 //
 // The grid is never materialised: a GridCursor yields configuration
@@ -91,8 +91,7 @@ struct SweepSpec {
 
 /// Lazy mixed-radix enumeration of a config grid: the cartesian product
 /// of `axes` applied to `base`, addressed by index in [0, size()).  The
-/// first axis varies slowest (index 0 is the base point of every axis),
-/// matching the report order of the former materialised expansion.
+/// first axis varies slowest (index 0 is the base point of every axis).
 /// Config names are deterministic: "<base>+Param=v+..." (base's own name
 /// for an empty grid).  There is NO size cap beyond std::size_t overflow
 /// — callers stream indices instead of materialising configs.
@@ -127,12 +126,6 @@ class GridCursor {
   std::vector<SweepAxis> axes_;
   std::size_t total_ = 1;
 };
-
-/// Cartesian product of the axes applied to `base`, materialised.  Kept
-/// for small grids and tests; refuses to materialise more than 1e6
-/// configurations — stream via GridCursor instead.
-[[nodiscard]] std::vector<arch::HardwareConfig> expand_grid(
-    const arch::HardwareConfig& base, std::span<const SweepAxis> axes);
 
 /// One (configuration, workload) evaluation.
 struct SweepCell {

@@ -2,7 +2,7 @@
 //
 // Production code marks its fallible seams — allocations that fill a
 // cache, lines read from or written to a report stream, archive fields,
-// worker-pool task launches — with AUTOPOWER_FAULT_POINT("site.name").
+// worker thread launches — with AUTOPOWER_FAULT_POINT("site.name").
 // Tests then *arm* a site with a trigger (fail the Nth hit, every Nth
 // hit, or a seeded probability per hit) and drive the real code path;
 // the armed point throws util::FaultInjected exactly where a disk-full,

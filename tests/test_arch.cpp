@@ -70,8 +70,8 @@ TEST(Params, RobBankingStaysIntegral) {
 }
 
 TEST(Params, UnknownConfigThrows) {
-  EXPECT_THROW(boom_config("C16"), util::InvalidArgument);
-  EXPECT_THROW(boom_config(""), util::InvalidArgument);
+  EXPECT_THROW((void)boom_config("C16"), util::InvalidArgument);
+  EXPECT_THROW((void)boom_config(""), util::InvalidArgument);
 }
 
 TEST(Params, FeatureExtraction) {

@@ -51,8 +51,8 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/io.hpp"
+#include "util/parallel.hpp"
 #include "util/structural_cache.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/workload.hpp"
 
 #ifndef AUTOPOWER_CLI_PATH
@@ -181,85 +181,91 @@ class FaultCliTest : public ::testing::Test {
 std::filesystem::path* FaultCliTest::dir_ = nullptr;
 
 // ---------------------------------------------------------------------
-// util.thread_pool.submit / util.thread_pool.run_task
+// util.thread_pool.submit / util.thread_pool.run_task (util::run_workers)
 
-TEST(FaultThreadPool, SubmitFaultThrowsAndPoolSurvives) {
-  util::ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  const auto task = [&ran] { ran.fetch_add(1); };
+TEST(FaultParallel, SubmitFaultThrowsWithoutHangOrTerminate) {
+  // The second extra thread fails to start: the launch loop stops, the
+  // thread already started is joined (never destroyed joinable), and
+  // the caller's own worker plus that thread still drain every item.
+  constexpr std::size_t kItems = 100;
+  std::vector<std::atomic<int>> claimed(kItems);
+  std::atomic<std::size_t> next{0};
+  std::vector<int> ran(4, 0);
   {
     fault::ScopedFault armed("util.thread_pool.submit",
                              fault::Trigger::countdown(2));
-    pool.submit(task);
-    EXPECT_THROW(pool.submit(task), fault::FaultInjected);
-    pool.submit(task);  // pool still accepts work after the failure
+    EXPECT_THROW(util::run_workers(4,
+                                   [&](std::size_t w) {
+                                     ran[w] = 1;
+                                     for (std::size_t i = next.fetch_add(1);
+                                          i < kItems; i = next.fetch_add(1)) {
+                                       claimed[i].fetch_add(1);
+                                     }
+                                   }),
+                 fault::FaultInjected);
   }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 2);
-  EXPECT_EQ(pool.task_failures().count, 0u);
+  EXPECT_EQ(ran, (std::vector<int>{1, 1, 0, 0}));
+  for (std::size_t i = 0; i < kItems; ++i) {
+    EXPECT_EQ(claimed[i].load(), 1) << "item " << i;
+  }
   EXPECT_GT(fault::hit_count("util.thread_pool.submit"), 0u);
-}
-
-TEST(FaultThreadPool, LostTaskNeverHangsDrainAndSiblingsComplete) {
-  util::ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  {
-    fault::ScopedFault armed("util.thread_pool.run_task",
-                             fault::Trigger::countdown(2));
-    for (int i = 0; i < 6; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1); });
-    }
-    pool.wait_idle();  // the regression: this must return, not hang
-  }
-  EXPECT_EQ(ran.load(), 5);  // exactly the faulted task is lost
-  const auto failures = pool.task_failures();
-  EXPECT_EQ(failures.count, 1u);
-  EXPECT_NE(failures.first_error.find("injected fault"), std::string::npos)
-      << failures.first_error;
-  // The pool keeps draining and accepting after the failure.
-  pool.submit([&ran] { ran.fetch_add(1); });
-  pool.shutdown();
-  EXPECT_EQ(ran.load(), 6);
 }
 
 // ---------------------------------------------------------------------
 // serve.engine.handle
 
 TEST(FaultEngine, ThreadedBatchFailsOneRequestCleanly) {
-  serve::BatchEngine engine(tiny_model(),
-                            {.threads = 3, .memoize_responses = false});
-  const auto requests = valid_requests(6);
-  std::vector<serve::BatchResponse> responses;
-  {
-    fault::ScopedFault armed("serve.engine.handle",
-                             fault::Trigger::countdown(1));
-    responses = engine.run(requests);  // must return, not hang or throw
-  }
-  ASSERT_EQ(responses.size(), requests.size());
-  std::size_t failed = 0;
-  for (const auto& r : responses) {
-    if (!r.ok) {
-      ++failed;
-      EXPECT_NE(r.error.find("injected fault"), std::string::npos)
-          << r.error;
-    } else {
-      EXPECT_GT(r.total_mw, 0.0);
+  // A request whose evaluation throws fails alone, with the same
+  // semantics at every thread count.
+  for (const std::size_t threads : {1u, 3u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    serve::BatchEngine engine(tiny_model(),
+                              {.threads = threads,
+                               .memoize_responses = false});
+    const auto requests = valid_requests(6);
+    std::vector<serve::BatchResponse> responses;
+    {
+      fault::ScopedFault armed("serve.engine.handle",
+                               fault::Trigger::countdown(1));
+      responses = engine.run(requests);  // must return, not hang or throw
     }
-  }
-  EXPECT_EQ(failed, 1u);
-  // Recovery: the same batch succeeds completely once disarmed.
-  for (const auto& r : engine.run(requests)) {
-    EXPECT_TRUE(r.ok) << r.error;
+    ASSERT_EQ(responses.size(), requests.size());
+    std::size_t failed = 0;
+    for (const auto& r : responses) {
+      if (!r.ok) {
+        ++failed;
+        EXPECT_NE(r.error.find("injected fault"), std::string::npos)
+            << r.error;
+      } else {
+        EXPECT_GT(r.total_mw, 0.0);
+      }
+    }
+    EXPECT_EQ(failed, 1u);
+    // Recovery: the same batch succeeds completely once disarmed.
+    for (const auto& r : engine.run(requests)) {
+      EXPECT_TRUE(r.ok) << r.error;
+    }
   }
 }
 
-TEST(FaultEngine, SerialBatchPropagatesThrowCleanly) {
-  serve::BatchEngine engine(tiny_model(), {.threads = 1});
-  const auto requests = valid_requests(2);
+TEST(FaultEngine, LostWorkerLeavesWellFormedResponses) {
+  // The only worker dies before claiming a request: run() still returns
+  // (never throws), and every slot is a clean "worker lost" failure.
+  serve::BatchEngine engine(tiny_model(),
+                            {.threads = 1, .memoize_responses = false});
+  const auto requests = valid_requests(3);
+  std::vector<serve::BatchResponse> responses;
   {
-    fault::ScopedFault armed("serve.engine.handle",
+    fault::ScopedFault armed("util.thread_pool.run_task",
                              fault::Trigger::countdown(1));
-    EXPECT_THROW((void)engine.run(requests), fault::FaultInjected);
+    responses = engine.run(requests);
+  }
+  ASSERT_EQ(responses.size(), requests.size());
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].index, i);
+    EXPECT_EQ(responses[i].config, requests[i].config);
+    EXPECT_FALSE(responses[i].ok);
+    EXPECT_EQ(responses[i].error, "request not processed (worker lost)");
   }
   for (const auto& r : engine.run(requests)) {
     EXPECT_TRUE(r.ok) << r.error;
@@ -779,21 +785,41 @@ TEST(FaultConcurrent, ProbabilisticStructuralFaultsUnderThreadedBatch) {
   }
 }
 
-TEST(FaultConcurrent, ThreadPoolSurvivesProbabilisticTaskFaults) {
-  util::ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  constexpr int kTasks = 64;
+TEST(FaultConcurrent, ParallelRunTaskFaultsNeverHang) {
+  // Probabilistic worker deaths over many fork-joins: every call
+  // returns, throws exactly when some worker died, and the survivors
+  // drain every item off the shared counter.
+  constexpr std::size_t kItems = 64;
+  std::size_t throws = 0;
   {
     fault::ScopedFault armed("util.thread_pool.run_task",
                              fault::Trigger::probability(0.25, 99));
-    for (int i = 0; i < kTasks; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1); });
+    for (int round = 0; round < 32; ++round) {
+      std::atomic<std::size_t> next{0};
+      std::atomic<std::size_t> processed{0};
+      std::atomic<std::size_t> survivors{0};
+      bool threw = false;
+      try {
+        util::run_workers(3, [&](std::size_t) {
+          survivors.fetch_add(1);
+          for (std::size_t i = next.fetch_add(1); i < kItems;
+               i = next.fetch_add(1)) {
+            processed.fetch_add(1);
+          }
+        });
+      } catch (const fault::FaultInjected& e) {
+        threw = true;
+        EXPECT_NE(std::string(e.what()).find("injected fault"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(threw, survivors.load() < 3) << "round " << round;
+      EXPECT_EQ(processed.load(), survivors.load() > 0 ? kItems : 0u)
+          << "round " << round;
+      throws += threw ? 1 : 0;
     }
-    pool.wait_idle();  // never hangs, whatever subset of tasks died
   }
-  const auto failures = pool.task_failures();
-  EXPECT_EQ(ran.load() + static_cast<int>(failures.count), kTasks);
-  EXPECT_GT(failures.count, 0u);  // p=0.25 over 64 tasks fires
+  EXPECT_GT(throws, 0u);  // p=0.25 over 96 worker starts fires
 }
 
 // ---------------------------------------------------------------------
@@ -948,8 +974,24 @@ TEST(FaultRegistry, AllDocumentedSitesExercised) {
 }  // namespace
 }  // namespace autopower
 
+#if !defined(AUTOPOWER_FAULT_INJECTION)
+// Every test here arms a fault site (in-process or through the CLI's
+// AUTOPOWER_FAULT) or reads the registry of sites seen; a build that
+// compiles the fault points out has nothing for them to check.
+class FaultPointsCompiledOut : public ::testing::Environment {
+ public:
+  void SetUp() override {
+    GTEST_SKIP() << "fault injection is compiled out of this build "
+                    "(AUTOPOWER_FAULT_INJECTION undefined, e.g. Release)";
+  }
+};
+#endif
+
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
   autopower::testcore::apply_cli_flags(&argc, argv);
+#if !defined(AUTOPOWER_FAULT_INJECTION)
+  ::testing::AddGlobalTestEnvironment(new FaultPointsCompiledOut);
+#endif
   return RUN_ALL_TESTS();
 }

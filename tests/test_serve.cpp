@@ -11,8 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -31,7 +29,6 @@
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
 #include "util/structural_cache.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/workload.hpp"
 
 namespace autopower::serve {
@@ -79,99 +76,6 @@ class ServeTest : public ::testing::Test {
 };
 
 std::shared_ptr<const core::AutoPowerModel>* ServeTest::model_ = nullptr;
-
-// --- ThreadPool (now hosted in util/, exercised here alongside its main
-// consumer) -------------------------------------------------------------------
-
-TEST(ThreadPoolTest, ExecutesEverySubmittedTask) {
-  std::atomic<int> counter{0};
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPoolTest, ShutdownDrainsPendingWork) {
-  std::atomic<int> counter{0};
-  util::ThreadPool pool(2);
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&counter] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      counter.fetch_add(1);
-    });
-  }
-  // Most tasks are still queued here; a graceful shutdown must run them
-  // all before joining rather than dropping the queue.
-  pool.shutdown();
-  EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPoolTest, SubmitAfterShutdownThrows) {
-  util::ThreadPool pool(1);
-  pool.shutdown();
-  EXPECT_THROW(pool.submit([] {}), util::Error);
-  pool.shutdown();  // idempotent
-}
-
-TEST(ThreadPoolTest, ThrowingTaskDoesNotKillWorkers) {
-  std::atomic<int> counter{0};
-  util::ThreadPool pool(1);
-  pool.submit([] { throw std::runtime_error("request failed"); });
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPoolTest, ConcurrentSubmittersLoseNoTasks) {
-  // The daemon's connection handlers submit from many threads at once;
-  // the pool's multi-submitter contract (thread_pool.hpp) promises no
-  // task is lost or duplicated under contention.  Submitters join before
-  // wait_idle() — the contract's global-barrier caveat.
-  std::atomic<int> counter{0};
-  util::ThreadPool pool(4);
-  constexpr int kSubmitters = 8;
-  constexpr int kTasksEach = 250;
-  std::vector<std::thread> submitters;
-  for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&pool, &counter] {
-      for (int i = 0; i < kTasksEach; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1); });
-      }
-    });
-  }
-  for (auto& t : submitters) t.join();
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), kSubmitters * kTasksEach);
-  EXPECT_EQ(pool.task_failures().count, 0u);
-}
-
-TEST(ThreadPoolTest, ConcurrentSubmittersRacingShutdownNeverLoseAccepted) {
-  // Shutdown may begin while other threads are still submitting: every
-  // submit must either be accepted (and then RUN, by the graceful-drain
-  // guarantee) or throw — never silently dropped.
-  std::atomic<int> ran{0};
-  std::atomic<int> accepted{0};
-  util::ThreadPool pool(2);
-  std::vector<std::thread> submitters;
-  for (int s = 0; s < 4; ++s) {
-    submitters.emplace_back([&] {
-      for (int i = 0; i < 200; ++i) {
-        try {
-          pool.submit([&ran] { ran.fetch_add(1); });
-          accepted.fetch_add(1);
-        } catch (const util::Error&) {
-          return;  // shutdown won the race; later submits would throw too
-        }
-      }
-    });
-  }
-  pool.shutdown();
-  for (auto& t : submitters) t.join();
-  EXPECT_EQ(ran.load(), accepted.load());
-}
 
 // --- ModelRegistry -----------------------------------------------------------
 
@@ -726,8 +630,12 @@ TEST(SweepGridTest, ParseGridRejectsMalformedSpecs) {
 TEST(SweepGridTest, ExpandGridEnumeratesCartesianProduct) {
   const auto& base = arch::boom_config("C8");
   const auto axes = parse_grid("RobEntry=64,96;MshrEntry=2,4,8");
-  const auto configs = expand_grid(base, axes);
-  ASSERT_EQ(configs.size(), 6u);
+  const GridCursor cursor(base, axes);
+  ASSERT_EQ(cursor.size(), 6u);
+  std::vector<arch::HardwareConfig> configs;
+  for (std::size_t i = 0; i < cursor.size(); ++i) {
+    configs.push_back(cursor.config_at(i));
+  }
   // First axis slowest, so the first three share RobEntry=64.
   EXPECT_EQ(configs[0].name(), base.name() + "+RobEntry=64+MshrEntry=2");
   EXPECT_EQ(configs[1].value(arch::HwParam::kMshrEntry), 4);
@@ -740,7 +648,7 @@ TEST(SweepGridTest, ExpandGridEnumeratesCartesianProduct) {
               base.value(arch::HwParam::kCacheWay));
   }
   // No axes: the grid is just the base configuration.
-  EXPECT_EQ(expand_grid(base, {}).size(), 1u);
+  EXPECT_EQ(GridCursor(base, {}).size(), 1u);
 }
 
 class SweepTest : public ServeTest {};

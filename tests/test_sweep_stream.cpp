@@ -35,10 +35,31 @@ namespace {
 // --- Grid cursor -------------------------------------------------------------
 
 TEST(GridCursorTest, MatchesMaterialisedExpansion) {
+  // Reference expansion: nested loops, first axis slowest.
   const auto& base = arch::boom_config("C8");
   const auto axes = parse_grid(
       "RobEntry=64,96;FetchBufferEntry=16,24,32;LdqStqEntry=16,24");
-  const auto materialised = expand_grid(base, axes);
+  std::array<int, arch::kNumHwParams> base_values{};
+  for (const arch::HwParam p : arch::all_hw_params()) {
+    base_values[static_cast<std::size_t>(p)] = base.value(p);
+  }
+  std::vector<arch::HardwareConfig> materialised;
+  for (const int rob : axes[0].values) {
+    for (const int fetch : axes[1].values) {
+      for (const int ldq : axes[2].values) {
+        auto values = base_values;
+        values[static_cast<std::size_t>(arch::HwParam::kRobEntry)] = rob;
+        values[static_cast<std::size_t>(arch::HwParam::kFetchBufferEntry)] =
+            fetch;
+        values[static_cast<std::size_t>(arch::HwParam::kLdqStqEntry)] = ldq;
+        materialised.emplace_back(
+            base.name() + "+RobEntry=" + std::to_string(rob) +
+                "+FetchBufferEntry=" + std::to_string(fetch) +
+                "+LdqStqEntry=" + std::to_string(ldq),
+            values);
+      }
+    }
+  }
   const GridCursor cursor(base, axes);
   ASSERT_EQ(cursor.size(), materialised.size());
 
@@ -68,8 +89,8 @@ TEST(GridCursorTest, EmptyGridIsTheBasePoint) {
 }
 
 TEST(GridCursorTest, StreamsPastTheMaterialisationCap) {
-  // 7 axes x 10 values = 1e7 points: expand_grid refuses, the cursor
-  // addresses every index without materialising anything.
+  // 7 axes x 10 values = 1e7 points: the cursor addresses every index
+  // without materialising anything.
   const auto& base = arch::boom_config("C8");
   std::vector<SweepAxis> axes;
   const arch::HwParam params[] = {
@@ -83,8 +104,6 @@ TEST(GridCursorTest, StreamsPastTheMaterialisationCap) {
     for (int v = 1; v <= 10; ++v) axis.values.push_back(v * 8);
     axes.push_back(std::move(axis));
   }
-  EXPECT_THROW((void)expand_grid(base, axes), util::Error);
-
   const GridCursor cursor(base, axes);
   ASSERT_EQ(cursor.size(), 10'000'000u);
   // Index 0 is the all-first-values point, the last index the

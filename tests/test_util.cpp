@@ -1,13 +1,20 @@
 // Unit tests for util: deterministic hashing/PRNG, noise envelopes,
-// error types, and the table printer.
+// error types, the table printer, and the fork-join worker helper.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -189,6 +196,56 @@ TEST(Fmt, FormatsNumbers) {
   EXPECT_EQ(fmt(4.356, 2), "4.36");
   EXPECT_EQ(fmt(4.0, 0), "4");
   EXPECT_EQ(fmt_pct(9.291, 2), "9.29%");
+}
+
+TEST(ParallelTest, WorkerCountClampsToCoresAndItems) {
+  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(worker_count(0, 10), 1u);    // never zero workers
+  EXPECT_EQ(worker_count(4, 0), 1u);     // ... even with nothing to do
+  EXPECT_EQ(worker_count(1000, 1), 1u);  // no more workers than items
+  EXPECT_EQ(worker_count(1000, 1000), cores);
+  EXPECT_EQ(worker_count(2, 1000), std::min<std::size_t>(2, cores));
+}
+
+TEST(ParallelTest, EveryIndexRunsExactlyOnce) {
+  constexpr std::size_t kWorkers = 6;
+  std::vector<std::atomic<int>> runs(kWorkers);
+  run_workers(kWorkers, [&runs](std::size_t w) { runs[w].fetch_add(1); });
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    EXPECT_EQ(runs[w].load(), 1) << "worker " << w;
+  }
+}
+
+TEST(ParallelTest, SingleWorkerRunsOnCallingThread) {
+  for (const std::size_t n : {0u, 1u}) {  // 0 counts as 1
+    std::vector<std::size_t> seen;
+    std::thread::id ran_on;
+    run_workers(n, [&](std::size_t w) {
+      seen.push_back(w);
+      ran_on = std::this_thread::get_id();
+    });
+    EXPECT_EQ(seen, std::vector<std::size_t>{0});
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+  }
+}
+
+TEST(ParallelTest, FirstExceptionRethrownWithTypeAfterAllWorkersJoin) {
+  // Workers 1 and 3 throw different types; the lowest-numbered worker's
+  // exception comes out, unwrapped, and only once the slow non-throwing
+  // workers have finished.
+  std::atomic<int> finished{0};
+  try {
+    run_workers(4, [&finished](std::size_t w) {
+      if (w == 1) throw std::out_of_range("worker 1");
+      if (w == 3) throw InvalidArgument("worker 3");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished.fetch_add(1);
+    });
+    FAIL() << "run_workers swallowed the workers' exceptions";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "worker 1");
+  }
+  EXPECT_EQ(finished.load(), 2);
 }
 
 }  // namespace

@@ -62,9 +62,9 @@
 #include "serve/sweep.hpp"
 #include "util/io.hpp"
 #include "util/metrics.hpp"
+#include "util/parallel.hpp"
 #include "util/parse.hpp"
 #include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -80,9 +80,9 @@ using ArgMap = std::map<std::string, std::string>;
 /// the same cannot-appear-in-a-value separator the serving memo keys use;
 /// split them back with split_multi_flag).
 struct FlagSpec {
-  std::set<std::string> valued;
-  std::set<std::string> boolean;
-  std::set<std::string> repeatable;
+  std::set<std::string> valued{};
+  std::set<std::string> boolean{};
+  std::set<std::string> repeatable{};
 };
 
 ArgMap parse_flags(int argc, char** argv, int first, const FlagSpec& spec) {
@@ -275,41 +275,25 @@ int cmd_evaluate(const ArgMap& flags) {
   power::GoldenPowerModel golden;
   const auto data = exp::ExperimentData::build(simulator, golden);
 
+  // Parallel predict over the held-out grid: predict* const methods are
+  // safe for concurrent use, so the workers share the model directly.
+  // Results land by held-out index, so the summary is thread-invariant.
+  const auto held_out = data.samples_excluding(known);
   exp::MethodResult result;
-  if (threads <= 1) {
-    result = exp::evaluate_predictor(
-        data, known, "AutoPower",
-        [&](const core::EvalContext& ctx) { return model.predict_total(ctx); });
-  } else {
-    // Parallel predict over the held-out grid: predict* const methods are
-    // safe for concurrent use, so the workers share the model directly.
-    const auto held_out = data.samples_excluding(known);
-    result.method = "AutoPower";
-    result.actual.resize(held_out.size());
-    result.predicted.resize(held_out.size());
-    std::atomic<std::size_t> next{0};
-    util::ThreadPool pool(static_cast<std::size_t>(threads));
-    for (std::size_t w = 0; w < pool.thread_count(); ++w) {
-      pool.submit([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= held_out.size()) return;
+  result.method = "AutoPower";
+  result.actual.resize(held_out.size());
+  result.predicted.resize(held_out.size());
+  std::atomic<std::size_t> next{0};
+  util::run_workers(
+      util::worker_count(static_cast<std::size_t>(threads), held_out.size()),
+      [&](std::size_t) {
+        for (std::size_t i = next.fetch_add(1); i < held_out.size();
+             i = next.fetch_add(1)) {
           result.actual[i] = held_out[i]->golden.total();
           result.predicted[i] = model.predict_total(held_out[i]->ctx);
         }
       });
-    }
-    pool.wait_idle();
-    // The pool swallows task exceptions so sibling workers keep draining;
-    // a lost worker here means holes in predicted[] — report it instead
-    // of printing a silently-wrong accuracy summary.
-    if (const auto failures = pool.task_failures(); failures.count > 0) {
-      throw util::Error("evaluate worker failed (" +
-                        std::to_string(failures.count) +
-                        " task(s)): " + failures.first_error);
-    }
-    result.accuracy = exp::compute_accuracy(result.actual, result.predicted);
-  }
+  result.accuracy = exp::compute_accuracy(result.actual, result.predicted);
   std::cout << "Held-out accuracy (excluding ";
   for (const auto& k : known) std::cout << k << ' ';
   std::cout << "): " << result.accuracy.to_string() << "\n";
@@ -742,7 +726,7 @@ int main(int argc, char** argv) {
   // Resolve the SIMD dispatch tier up front so the util.simd.tier gauge
   // is present in every --stats snapshot, not only ones taken after a
   // kernel happened to run.
-  util::simd::active_tier();
+  (void)util::simd::active_tier();
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const auto it = commands().find(command);

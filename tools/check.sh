@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Repo health check: builds the default preset, verifies the SIMD arch
+# Repo health check: builds the default preset with warnings as errors,
+# re-runs the daemon drain-probe test 50 times under CPU load, builds
+# and tests the Release build type once, verifies the SIMD arch
 # flags stay confined to the dispatched TUs, runs the self-checking
 # throughput benches (training core + SIMD tier differencing + batch
 # serving + daemon wire path + structural-memo sweep) and collects their
@@ -26,9 +28,34 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== configure + build (default preset) =="
-cmake --preset default
+echo "== configure + build (default preset, warnings as errors) =="
+cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build --preset default -j "$(nproc)"
+
+echo "== drain probe under CPU load (HealthDuringDrainReportsDraining x50) =="
+# notify_stop() must make the drain visible before it returns: a health
+# probe sent right after it reads "draining" however the acceptor thread
+# is scheduled.  Three busy loops compete for the cores meanwhile.
+busy_pids=()
+for _ in 1 2 3; do
+  ( while :; do :; done ) &
+  busy_pids+=($!)
+done
+drain_status=0
+./build/tests/test_daemon \
+  --gtest_filter='DaemonTest.HealthDuringDrainReportsDraining' \
+  --gtest_repeat=50 || drain_status=$?
+kill "${busy_pids[@]}"
+wait "${busy_pids[@]}" 2>/dev/null || true
+[ "$drain_status" -eq 0 ] \
+  || { echo "drain probe failed under CPU load"; exit 1; }
+
+echo "== Release build: configure, build, ctest =="
+# Release compiles the fault points out; tests that arm them skip with a
+# reason instead of failing, and everything else must pass unchanged.
+cmake -S . -B build-release -DCMAKE_BUILD_TYPE=Release
+cmake --build build-release -j "$(nproc)"
+ctest --test-dir build-release --output-on-failure -j "$(nproc)"
 
 echo "== SIMD flag isolation (arch flags stay in the dispatched TUs) =="
 # The runtime dispatcher is only sound if AVX2/SSE2 codegen is confined
@@ -344,8 +371,9 @@ TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
 
 echo "== proptest: fault-injection suite under ThreadSanitizer =="
 # Every registered fault site is forced to fire (test_fault), including
-# probabilistic faults on the threaded batch/sweep paths, so TSan sees
-# the error-propagation and drain paths under contention.  --seed=N
+# probabilistic faults on the threaded batch/sweep paths and on
+# run_workers' worker bodies, so TSan sees the error-propagation, join
+# and drain paths under contention.  --seed=N
 # reruns a specific base seed.
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   timeout 600 ./build-tsan/tests/test_fault
@@ -372,10 +400,10 @@ TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   timeout 600 ./build-tsan/tests/test_explore --cases 10 \
   --gtest_filter='ExploreSearch.SeedAndThreadCountInvariance'
 
-echo "== run parallel-train tests under ThreadSanitizer =="
+echo "== run parallel-train + fork-join helper tests under ThreadSanitizer =="
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   ./build-tsan/tests/autopower_tests \
-  --gtest_filter='AutoPowerTest.ParallelTrainArchiveByteIdentical'
+  --gtest_filter='AutoPowerTest.ParallelTrainArchiveByteIdentical:ParallelTest.*'
 
 echo "== run metrics-registry tests under ThreadSanitizer =="
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
