@@ -40,7 +40,9 @@ Fixture& fixture() {
 
 ml::Dataset synthetic_dataset(std::size_t n, std::size_t p) {
   std::vector<std::string> names;
-  for (std::size_t j = 0; j < p; ++j) names.push_back("f" + std::to_string(j));
+  for (std::size_t j = 0; j < p; ++j) {
+    names.push_back(std::string("f").append(std::to_string(j)));
+  }
   ml::Dataset data(names);
   util::Rng rng(42);
   std::vector<double> row(p);

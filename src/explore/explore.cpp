@@ -503,9 +503,7 @@ ExploreReport run_explore(
   }
 
   if (structural == nullptr) {
-    structural =
-        std::make_shared<util::StructuralSimCache>(/*shards_per_sub=*/8,
-                                                   /*max_entries=*/0);
+    structural = std::make_shared<util::StructuralSimCache>();
   }
   const util::StructuralSimCache::Stats before = structural->stats();
 

@@ -58,9 +58,8 @@ BatchEngine::BatchEngine(std::shared_ptr<const core::AutoPowerModel> model,
                          EngineOptions options)
     : model_(std::move(model)),
       options_(options),
-      cache_(options.cache_shards),
       structural_(std::make_shared<util::StructuralSimCache>()),
-      response_shards_(options.cache_shards == 0 ? 1 : options.cache_shards),
+      response_shards_(kResponseShards),
       metrics_{util::MetricsRegistry::global().counter(
                    "serve.batch.requests"),
                util::MetricsRegistry::global().counter("serve.batch.failed"),
@@ -105,7 +104,10 @@ BatchResponse BatchEngine::handle(const BatchRequest& request,
   // Outside compute()'s try block: an injected failure here exercises the
   // worker-loop error isolation, not the per-request error reporting.
   AUTOPOWER_FAULT_POINT("serve.engine.handle");
-  if (!options_.memoize_responses || request.mode == PredictMode::kTrace) {
+  // The model is immutable and every stage deterministic, so a repeated
+  // (config, workload, mode) query is answered from the response memo.
+  // Trace responses are never memoised (large payload, rarely repeated).
+  if (request.mode == PredictMode::kTrace) {
     BatchResponse resp = compute(request, sim, model);
     resp.index = index;
     return resp;

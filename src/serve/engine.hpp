@@ -13,9 +13,10 @@
 // run() executes every request and returns responses IN INPUT ORDER; each
 // worker thread owns a private PerfSimulator (the simulator's instance
 // memo is not thread-safe) while the serve::EvalCache deduplicates
-// (config, workload) simulations and the response memo answers exact
-// repeat queries — (config, workload, mode) — without touching the model
-// at all.  Underneath both, every worker simulator shares the engine's
+// (config, workload) simulations and the response memo (always on)
+// answers exact repeat queries — (config, workload, mode) — without
+// touching the model at all; trace responses are never memoised.
+// Underneath both, every worker simulator shares the engine's
 // util::StructuralSimCache, so the expensive cache/TLB/branch structural
 // measurements are computed once per distinct sub-key across ALL workers
 // and ALL modes — including kTrace, whose simulate_trace calls previously
@@ -104,12 +105,6 @@ struct EngineOptions {
   /// Requested workers per run(); util::worker_count clamps it to the
   /// host's cores and the batch size.
   std::size_t threads = 1;
-  std::size_t cache_shards = 16;
-  /// Memoise whole responses per (config, workload, mode).  The model is
-  /// immutable and every pipeline stage is deterministic, so a repeated
-  /// query can be answered straight from the memo.  Trace responses are
-  /// never memoised (large payload, rarely repeated).
-  bool memoize_responses = true;
 };
 
 class BatchEngine {
@@ -141,7 +136,7 @@ class BatchEngine {
   structural_cache() const noexcept {
     return structural_;
   }
-  /// Hit/miss counters of the response memo (all zero when disabled).
+  /// Hit/miss counters of the response memo.
   /// Same corrected semantics as EvalCache::Stats: a miss is counted
   /// only by the winning insert, a lost cold-key race counts a hit, so
   /// after run() returns `misses == memoised responses` exactly — as
@@ -153,6 +148,8 @@ class BatchEngine {
   [[nodiscard]] EvalCache::Stats response_stats() const noexcept;
 
  private:
+  static constexpr std::size_t kResponseShards = 16;
+
   struct ResponseShard {
     std::mutex mu;
     std::unordered_map<std::string, std::shared_ptr<const BatchResponse>> map;

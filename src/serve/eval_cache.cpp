@@ -42,8 +42,7 @@ CacheMetrics& cache_metrics() {
 
 }  // namespace
 
-EvalCache::EvalCache(std::size_t shards)
-    : shards_(shards == 0 ? 1 : shards) {}
+EvalCache::EvalCache() : shards_(kShards) {}
 
 EvalCache::Shard& EvalCache::shard_for(std::string_view key) noexcept {
   const std::size_t h = std::hash<std::string_view>{}(key);

@@ -10,7 +10,7 @@
 // simulator, and the cache publishes the resulting context as an
 // immutable `shared_ptr<const EvalContext>` that any thread may read.
 //
-// Sharding: keys hash onto `shards` independently-locked maps, so lookups
+// Sharding: keys hash onto kShards independently-locked maps, so lookups
 // of different keys rarely contend.  On a miss the context is computed
 // OUTSIDE the shard lock (two threads may transiently duplicate the same
 // deterministic computation; the first insert wins — both observe one
@@ -34,8 +34,7 @@ namespace autopower::serve {
 
 class EvalCache {
  public:
-  /// `shards` is clamped to at least 1.
-  explicit EvalCache(std::size_t shards = 16);
+  EvalCache();
 
   /// Returns the cached context for (model_fingerprint, config, workload),
   /// computing it with `sim` on a miss.  Throws util::Error for unknown
@@ -67,11 +66,9 @@ class EvalCache {
 
   void clear();
 
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
-
  private:
+  static constexpr std::size_t kShards = 16;
+
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<std::string, std::shared_ptr<const core::EvalContext>>

@@ -333,9 +333,7 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
                     spec.memory_budget /
                     util::StructuralSimCache::kApproxEntryBytes));
     }
-    structural =
-        std::make_shared<util::StructuralSimCache>(/*shards_per_sub=*/8,
-                                                   max_entries);
+    structural = std::make_shared<util::StructuralSimCache>(max_entries);
   }
   const util::StructuralSimCache::Stats before = structural->stats();
 
@@ -492,9 +490,7 @@ std::vector<SweepRow> evaluate_configs(
     programs.push_back(workload::program_features(*profiles.back()));
   }
   if (structural == nullptr) {
-    structural =
-        std::make_shared<util::StructuralSimCache>(/*shards_per_sub=*/8,
-                                                   /*max_entries=*/0);
+    structural = std::make_shared<util::StructuralSimCache>();
   }
   auto& registry = util::MetricsRegistry::global();
   auto& m_cells = registry.counter("serve.sweep.cells");

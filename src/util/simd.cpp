@@ -1,18 +1,20 @@
 // Scalar kernel tier + runtime dispatch for util/simd.hpp.
 //
-// The scalar implementations here are the reference semantics every
-// vector tier must reproduce bit for bit — they are deliberately plain
-// element loops with no manual unrolling, so reading one tells you the
-// exact per-element operation sequence the SSE2/AVX2 twins promise to
-// match.  This TU is compiled with the project-default flags only
-// (no -mavx2/-msse2): it must run on any x86-64, and vector tiers that
-// borrow a scalar kernel for an unaccelerated slot get this baseline
-// codegen, not a re-materialised copy under their own ISA flags.
+// The scalar implementations here are the reference semantics the AVX2
+// tier must reproduce bit for bit — they are deliberately plain element
+// loops with no manual unrolling, so reading one tells you the exact
+// per-element operation sequence the AVX2 twins promise to match.  This
+// TU is compiled with the project-default flags only (no -mavx2): it
+// must run on any x86-64, and the AVX2 tier borrows the scalar kernels
+// it needs for its tails from here, so they get baseline codegen, not a
+// re-materialised copy under -mavx2.
 
 #include "util/simd.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -20,11 +22,9 @@
 
 namespace autopower::util::simd {
 
-namespace detail {
-
 namespace {
+
 constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
-}  // namespace
 
 void scalar_axpy(double a, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
@@ -55,6 +55,10 @@ void scalar_affine_rows(const double* rows, std::size_t arity,
     out[i] = acc;
   }
 }
+
+}  // namespace
+
+namespace detail {
 
 void scalar_forest_leaf_add(const PaddedTreeView& tree, const double* cols,
                             std::size_t col_stride, std::size_t rows,
@@ -93,11 +97,11 @@ namespace {
 
 constexpr KernelTable kScalarTable = {
     Tier::kScalar,
-    detail::scalar_axpy,
-    detail::scalar_sub_div,
-    detail::scalar_gather,
-    detail::scalar_strided_gather,
-    detail::scalar_affine_rows,
+    scalar_axpy,
+    scalar_sub_div,
+    scalar_gather,
+    scalar_strided_gather,
+    scalar_affine_rows,
     detail::scalar_forest_leaf_add,
     detail::scalar_rng_fill_u64,
     detail::scalar_rng_fill_unit,
@@ -113,6 +117,11 @@ void publish_tier_gauge(Tier tier) {
 const KernelTable* resolve_initial_table() {
   Tier tier = detect_best_tier();
   if (const char* env = std::getenv("AUTOPOWER_SIMD")) {
+    if (std::string_view(env) == "sse2") {
+      std::fputs("autopower: AUTOPOWER_SIMD=sse2 selects the scalar tier "
+                 "(SSE2 is the x86-64 baseline)\n",
+                 stderr);
+    }
     if (const auto requested = parse_tier(env);
         requested.has_value() && *requested <= tier) {
       tier = *requested;
@@ -142,9 +151,6 @@ Tier detect_best_tier() noexcept {
   if (__builtin_cpu_supports("avx2") && avx2_kernel_table() != nullptr) {
     return Tier::kAvx2;
   }
-  if (__builtin_cpu_supports("sse2") && sse2_kernel_table() != nullptr) {
-    return Tier::kSse2;
-  }
 #endif
   return Tier::kScalar;
 }
@@ -153,8 +159,6 @@ const KernelTable* kernels_for(Tier tier) noexcept {
   switch (tier) {
     case Tier::kAvx2:
       return detect_best_tier() >= Tier::kAvx2 ? avx2_kernel_table() : nullptr;
-    case Tier::kSse2:
-      return detect_best_tier() >= Tier::kSse2 ? sse2_kernel_table() : nullptr;
     case Tier::kScalar:
       return &kScalarTable;
   }
@@ -173,7 +177,6 @@ Tier set_active_tier(Tier tier) noexcept {
 std::string_view tier_name(Tier tier) noexcept {
   switch (tier) {
     case Tier::kScalar: return "scalar";
-    case Tier::kSse2: return "sse2";
     case Tier::kAvx2: return "avx2";
   }
   return "scalar";
@@ -181,7 +184,8 @@ std::string_view tier_name(Tier tier) noexcept {
 
 std::optional<Tier> parse_tier(std::string_view text) noexcept {
   if (text == "scalar") return Tier::kScalar;
-  if (text == "sse2") return Tier::kSse2;
+  // SSE2 is the x86-64 baseline, so the scalar TU already is SSE2 code.
+  if (text == "sse2") return Tier::kScalar;
   if (text == "avx2") return Tier::kAvx2;
   return std::nullopt;
 }

@@ -2,10 +2,11 @@
 //
 // The numeric hot paths (forest inference, presort gathers, ridge
 // predicts, batched PRNG fills) call through a per-process kernel table
-// selected once from cpuid: scalar, SSE2 or AVX2.  Three properties the
-// rest of the repository relies on:
+// selected once from cpuid.  There are two tiers: scalar (the
+// reference) and AVX2.  Three properties the rest of the repository
+// relies on:
 //
-//   * Bit-identity across tiers.  Every vector kernel performs, per
+//   * Bit-identity across tiers.  Every AVX2 kernel performs, per
 //     output element, exactly the operation sequence of its scalar twin
 //     — vectorisation is only ever *across* independent output elements
 //     (rows, samples, lanes), never across a reduction whose order
@@ -15,20 +16,21 @@
 //     differential oracles in tests/test_simd.cpp pin every kernel to
 //     its scalar twin over random sizes, alignments, NaNs and
 //     denormals.
-//   * No ISA leakage.  AVX2/SSE2 code lives only in simd_avx2.cpp /
-//     simd_sse2.cpp, which are the only translation units compiled with
-//     -mavx2 / -msse2 (tools/check.sh fails the build if the flag
-//     appears anywhere else).  This header stays intrinsics-free and
-//     inline-function-free so including it can never materialise
-//     AVX2 code in a caller's TU.
+//   * No ISA leakage.  AVX2 code lives only in simd_avx2.cpp, the only
+//     translation unit compiled with -mavx2 (tools/check.sh fails the
+//     build if the flag appears anywhere else).  This header stays
+//     intrinsics-free and inline-function-free so including it can
+//     never materialise AVX2 code in a caller's TU.
 //   * Observability.  The selected tier is published as the
-//     `util.simd.tier` gauge (0 scalar / 1 sse2 / 2 avx2) so --stats
-//     snapshots, bench JSON and the daemon health response all say
-//     which code path produced their numbers.
+//     `util.simd.tier` gauge (0 scalar / 2 avx2) so --stats snapshots,
+//     bench JSON and the daemon health response all say which code
+//     path produced their numbers.
 //
-// Tier selection: highest tier the CPU supports, capped by the
-// AUTOPOWER_SIMD environment variable (scalar | sse2 | avx2).  An
-// unknown value, or a request for a tier the CPU lacks, falls back to
+// Tier selection: AVX2 when the CPU supports it, else scalar, capped by
+// the AUTOPOWER_SIMD environment variable (scalar | avx2).  "sse2"
+// is accepted and means "no AVX2": SSE2 is the x86-64 baseline, so it
+// resolves to scalar, with a one-line notice on stderr.  An unknown
+// value, or a request for a tier the CPU lacks, falls back to
 // auto-detection.  set_active_tier() re-points the dispatch table at
 // runtime — a bench/test hook for measuring and differencing tiers in
 // one process; it is not meant to be called concurrently with kernel
@@ -43,7 +45,8 @@
 namespace autopower::util::simd {
 
 /// Instruction-set tier, ordered: a higher tier implies the lower ones.
-enum class Tier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// kAvx2 keeps the value 2 that the util.simd.tier gauge reports.
+enum class Tier : int { kScalar = 0, kAvx2 = 2 };
 
 /// One padded perfect tree of the forest-inference layout.  A fitted
 /// tree of depth d is mirrored into a complete binary tree in
@@ -64,8 +67,7 @@ struct PaddedTreeView {
 /// condition bits is the most a per-row uint64 mask can carry.
 inline constexpr std::int32_t kMaxPaddedDepth = 6;
 
-/// The dispatched kernels.  All pointers are always non-null (the
-/// scalar implementation backs any slot a tier does not accelerate).
+/// The dispatched kernels.  All pointers are always non-null.
 /// Index arguments must be < 2^31: the x86 gather instructions treat
 /// indices as signed 32/64-bit.
 struct KernelTable {
@@ -132,10 +134,11 @@ struct KernelTable {
 /// inside dispatched kernels.
 Tier set_active_tier(Tier tier) noexcept;
 
-/// "scalar" | "sse2" | "avx2".
+/// "scalar" | "avx2".
 [[nodiscard]] std::string_view tier_name(Tier tier) noexcept;
 
-/// Parses an AUTOPOWER_SIMD value; std::nullopt for anything unknown.
+/// Parses an AUTOPOWER_SIMD value ("sse2" -> kScalar); std::nullopt for
+/// anything unknown.
 [[nodiscard]] std::optional<Tier> parse_tier(std::string_view text) noexcept;
 
 }  // namespace autopower::util::simd

@@ -7,19 +7,18 @@
 
 namespace autopower::util {
 
-StructuralSimCache::StructuralSimCache(std::size_t shards_per_sub,
-                                       std::size_t max_entries)
+StructuralSimCache::StructuralSimCache(std::size_t max_entries)
     : max_entries_(max_entries) {
-  const std::size_t shards = shards_per_sub == 0 ? 1 : shards_per_sub;
   // Bounded mode splits the total budget evenly across every shard of
   // every lane; each shard keeps at least one slot so no key can become
   // uncacheable.
   const std::size_t per_shard =
       max_entries == 0
           ? 0
-          : std::max<std::size_t>(1, max_entries / (kNumSubSims * shards));
+          : std::max<std::size_t>(1,
+                                  max_entries / (kNumSubSims * kShardsPerSub));
   for (Lane& lane : lanes_) {
-    lane.shards.resize(shards);
+    lane.shards.resize(kShardsPerSub);
     if (per_shard != 0) {
       for (Shard& shard : lane.shards) {
         shard.capacity = per_shard;

@@ -83,12 +83,14 @@ class StructuralSimCache {
   /// bucket); what `sweep --memory-budget` divides by to size the cache.
   static constexpr std::size_t kApproxEntryBytes = 64;
 
-  /// `shards_per_sub` is clamped to at least 1.  `max_entries` == 0 keeps
-  /// the cache unbounded; a positive value bounds the TOTAL entry count
-  /// across all lanes and shards, evicting CLOCK-style per shard (each
-  /// shard owns an equal slice of the budget, at least one entry).
-  explicit StructuralSimCache(std::size_t shards_per_sub = 8,
-                              std::size_t max_entries = 0);
+  /// Independently-locked shards in each lane.
+  static constexpr std::size_t kShardsPerSub = 8;
+
+  /// `max_entries` == 0 keeps the cache unbounded; a positive value
+  /// bounds the TOTAL entry count across all lanes and shards, evicting
+  /// CLOCK-style per shard (each shard owns an equal slice of the
+  /// budget, at least one entry).
+  explicit StructuralSimCache(std::size_t max_entries = 0);
 
   StructuralSimCache(const StructuralSimCache&) = delete;
   StructuralSimCache& operator=(const StructuralSimCache&) = delete;
@@ -169,10 +171,6 @@ class StructuralSimCache {
   /// Drops every entry and zeroes the counters (including the absorbed
   /// L1 aggregate).
   void clear();
-
-  [[nodiscard]] std::size_t shards_per_sub() const noexcept {
-    return lanes_[0].shards.size();
-  }
 
   [[nodiscard]] static std::string_view sub_sim_name(SubSim sub) noexcept;
 

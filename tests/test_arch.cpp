@@ -19,7 +19,8 @@ TEST(Params, FifteenConfigurations) {
   const auto& configs = boom_design_space();
   ASSERT_EQ(configs.size(), 15u);
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    EXPECT_EQ(configs[i].name(), "C" + std::to_string(i + 1));
+    EXPECT_EQ(configs[i].name(),
+              std::string("C").append(std::to_string(i + 1)));
   }
 }
 

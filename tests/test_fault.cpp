@@ -219,9 +219,7 @@ TEST(FaultEngine, ThreadedBatchFailsOneRequestCleanly) {
   // semantics at every thread count.
   for (const std::size_t threads : {1u, 3u}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    serve::BatchEngine engine(tiny_model(),
-                              {.threads = threads,
-                               .memoize_responses = false});
+    serve::BatchEngine engine(tiny_model(), {.threads = threads});
     const auto requests = valid_requests(6);
     std::vector<serve::BatchResponse> responses;
     {
@@ -251,8 +249,7 @@ TEST(FaultEngine, ThreadedBatchFailsOneRequestCleanly) {
 TEST(FaultEngine, LostWorkerLeavesWellFormedResponses) {
   // The only worker dies before claiming a request: run() still returns
   // (never throws), and every slot is a clean "worker lost" failure.
-  serve::BatchEngine engine(tiny_model(),
-                            {.threads = 1, .memoize_responses = false});
+  serve::BatchEngine engine(tiny_model(), {.threads = 1});
   const auto requests = valid_requests(3);
   std::vector<serve::BatchResponse> responses;
   {
@@ -275,8 +272,7 @@ TEST(FaultEngine, LostWorkerLeavesWellFormedResponses) {
 TEST(FaultEngine, FailedResponseIsNeverMemoized) {
   // A transient fault must not poison the response memo: the failed
   // response is returned but NOT cached, so the retry recomputes.
-  serve::BatchEngine engine(tiny_model(),
-                            {.threads = 1, .memoize_responses = true});
+  serve::BatchEngine engine(tiny_model(), {.threads = 1});
   const std::vector<serve::BatchRequest> one = {
       {"C4", "dhrystone", serve::PredictMode::kTotal}};
   {
@@ -310,7 +306,7 @@ TEST(FaultEngine, FailedResponseIsNeverMemoized) {
 // first-insert-wins fill must never publish a partial entry)
 
 TEST(FaultEvalCache, ThrowingComputeLeavesNoPartialEntry) {
-  serve::EvalCache cache(4);
+  serve::EvalCache cache;
   const sim::PerfSimulator sim;
   {
     fault::ScopedFault armed("serve.eval_cache.compute",
@@ -329,7 +325,7 @@ TEST(FaultEvalCache, ThrowingComputeLeavesNoPartialEntry) {
 }
 
 TEST(FaultEvalCache, ThrowingInsertLeavesNoPartialEntry) {
-  serve::EvalCache cache(4);
+  serve::EvalCache cache;
   const sim::PerfSimulator sim;
   {
     fault::ScopedFault armed("serve.eval_cache.insert",
@@ -762,8 +758,7 @@ TEST_F(FaultCliTest, MalformedFaultSpecExitsOne) {
 // crash, hang, or leave a cache entry that poisons the recovery run.
 
 TEST(FaultConcurrent, ProbabilisticStructuralFaultsUnderThreadedBatch) {
-  serve::BatchEngine engine(tiny_model(),
-                            {.threads = 3, .memoize_responses = false});
+  serve::BatchEngine engine(tiny_model(), {.threads = 3});
   const auto requests = valid_requests(8);
   {
     fault::ScopedFault armed(

@@ -167,7 +167,7 @@ constexpr std::string_view kFpA = "aaaaaaaaaaaaaaaa";
 constexpr std::string_view kFpB = "bbbbbbbbbbbbbbbb";
 
 TEST(EvalCacheTest, MissThenHitReturnsSameContext) {
-  EvalCache cache(4);
+  EvalCache cache;
   sim::PerfSimulator sim;
   const auto a = cache.get_or_compute(kFpA, "C3", "dhrystone", sim);
   const auto b = cache.get_or_compute(kFpA, "C3", "dhrystone", sim);
@@ -186,7 +186,7 @@ TEST(EvalCacheTest, DistinctModelFingerprintsNeverAlias) {
   // Regression for the stale-model serving bug: before fingerprints were
   // part of the key, two models sharing one cache would serve each
   // other's entries for the same (config, workload).
-  EvalCache cache(8);
+  EvalCache cache;
   sim::PerfSimulator sim;
   const auto a = cache.get_or_compute(kFpA, "C3", "dhrystone", sim);
   const auto b = cache.get_or_compute(kFpB, "C3", "dhrystone", sim);
@@ -220,7 +220,7 @@ TEST(EvalCacheTest, UnknownNamesThrow) {
 }
 
 TEST(EvalCacheTest, CrossThreadLookupsAgree) {
-  EvalCache cache(8);
+  EvalCache cache;
   constexpr int kThreads = 8;
   std::vector<std::shared_ptr<const core::EvalContext>> seen(kThreads);
   {
@@ -389,11 +389,10 @@ TEST_F(EngineTest, FaultedDrainKeepsSiblingResultsBitIdentical) {
       {"C9", "rsort", PredictMode::kTotal},
       {"C11", "vvadd", PredictMode::kTotal},
   };
-  BatchEngine clean_engine(model(), {.threads = 3,
-                                     .memoize_responses = false});
+  BatchEngine clean_engine(model(), {.threads = 3});
   const auto expected = clean_engine.run(requests);
 
-  BatchEngine engine(model(), {.threads = 3, .memoize_responses = false});
+  BatchEngine engine(model(), {.threads = 3});
   std::vector<BatchResponse> faulted;
   {
     util::fault::ScopedFault armed("serve.engine.handle",
@@ -480,21 +479,6 @@ TEST_F(EngineTest, RunPopulatesGlobalMetrics) {
   EXPECT_EQ(registry.counter("serve.batch.response_memo.misses").value(),
             memo_misses_before + rs.misses);
   EXPECT_EQ(rs.hits + rs.misses, 12u);
-}
-
-TEST_F(EngineTest, MemoDisabledStillDeterministic) {
-  std::vector<BatchRequest> requests(
-      20, BatchRequest{"C9", "multiply", PredictMode::kTotal});
-  BatchEngine memo_on(model(), {.threads = 4});
-  BatchEngine memo_off(model(),
-                       {.threads = 4, .memoize_responses = false});
-  const auto a = memo_on.run(requests);
-  const auto b = memo_off.run(requests);
-  EXPECT_EQ(memo_off.response_stats().hits, 0u);
-  EXPECT_EQ(memo_off.response_stats().misses, 0u);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(a[i].total_mw, b[i].total_mw);
-  }
 }
 
 TEST_F(EngineTest, EmptyBatchAndNullModel) {
@@ -586,13 +570,11 @@ TEST_F(EngineTest, TraceModeSharesStructuralCacheAcrossWorkers) {
     requests.push_back({"C11", w, PredictMode::kTrace});
     requests.push_back({"C12", w, PredictMode::kTrace});
   }
-  BatchEngine parallel_engine(model(), {.threads = 8,
-                                        .memoize_responses = false});
+  BatchEngine parallel_engine(model(), {.threads = 8});
   const auto parallel = parallel_engine.run(requests);
   EXPECT_GT(parallel_engine.structural_cache()->stats().hits, 0u);
 
-  BatchEngine serial_engine(model(), {.threads = 1,
-                                      .memoize_responses = false});
+  BatchEngine serial_engine(model(), {.threads = 1});
   const auto serial = serial_engine.run(requests);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {

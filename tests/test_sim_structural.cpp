@@ -209,10 +209,10 @@ double lane_value(SubSim sub, std::uint64_t key) {
 TEST(StructuralCacheEviction, BoundedMatchesUnboundedOverRandomStreams) {
   util::Rng rng(0xB0DE);
   for (int round = 0; round < 8; ++round) {
-    // 1 shard/lane, 40 entries total -> 8 slots per lane: small enough
-    // that a 64-key working set evicts constantly.
-    StructuralSimCache bounded(1, 40);
-    StructuralSimCache unbounded(1, 0);
+    // 40 entries total over 5 lanes x 8 shards -> 1 slot per shard, 8
+    // per lane: small enough that a 64-key working set evicts constantly.
+    StructuralSimCache bounded(40);
+    StructuralSimCache unbounded;
     ASSERT_EQ(bounded.capacity(), 40u);
     for (int op = 0; op < 4000; ++op) {
       const auto sub = static_cast<SubSim>(
@@ -238,13 +238,15 @@ TEST(StructuralCacheEviction, BoundedMatchesUnboundedOverRandomStreams) {
 }
 
 TEST(StructuralCacheEviction, ClockKeepsTheHotKeyResident) {
-  // One lane, one shard, 5-entry budget -> 1 slot in that shard.  A key
-  // that is re-referenced between inserts keeps its second-chance bit
-  // set... with a single slot every insert evicts, but the re-reference
-  // pattern must still always return the right value.
-  StructuralSimCache cache(1, 5);
+  // 40-entry budget over 5 lanes x 8 shards -> 1 slot per shard; keys
+  // that are multiples of kShardsPerSub all land in shard 0 of the lane.
+  // A key that is re-referenced between inserts keeps its second-chance
+  // bit set... with a single slot every insert evicts, but the
+  // re-reference pattern must still always return the right value.
+  StructuralSimCache cache(40);
   int computes = 0;
-  for (std::uint64_t k = 0; k < 10; ++k) {
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    const std::uint64_t k = i * StructuralSimCache::kShardsPerSub;
     const double v = cache.get_or_compute(SubSim::kBranch, k, [&] {
       ++computes;
       return double(k);
@@ -288,7 +290,8 @@ TEST(StructuralL1Cache, HitsNeverTouchTheSharedTier) {
 TEST(StructuralL1Cache, BoundedL2BehindL1StaysBitIdentical) {
   // Simulators sharing a tiny bounded L2 (evicting constantly) must stay
   // bit-identical to a fresh unshared simulator.
-  auto tiny = std::make_shared<StructuralSimCache>(2, 16);
+  // 40 entries -> the floor of 1 slot per shard (8 per lane).
+  auto tiny = std::make_shared<StructuralSimCache>(40);
   util::Rng rng(0x11FA2);
   for (int i = 0; i < 6; ++i) {
     const auto cfg = random_config(rng, 100 + i);
@@ -299,6 +302,7 @@ TEST(StructuralL1Cache, BoundedL2BehindL1StaysBitIdentical) {
                      cfg.name().c_str());
   }
   EXPECT_LE(tiny->size(), tiny->capacity());
+  EXPECT_GT(tiny->stats().evictions, 0u);
 }
 
 }  // namespace

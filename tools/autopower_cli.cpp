@@ -44,6 +44,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -113,7 +114,7 @@ ArgMap parse_flags(int argc, char** argv, int first, const FlagSpec& spec) {
         it->second += value;
       }
     } else {
-      flags[key] = "1";
+      flags.emplace(key, "1");
     }
   }
   return flags;
@@ -147,6 +148,17 @@ int parse_int_flag(const ArgMap& flags, const std::string& key, int fallback,
 
 int parse_threads(const ArgMap& flags) {
   return parse_int_flag(flags, "threads", 1, 1);
+}
+
+/// --threads N, or one worker per core when the flag is absent (batch,
+/// sweep, explore, serve).  util::worker_count later clamps either value
+/// to the host and to the work at hand.
+std::size_t threads_or_all_cores(const ArgMap& flags) {
+  if (flags.count("threads") == 0) {
+    return util::worker_count(std::numeric_limits<std::size_t>::max(),
+                              std::numeric_limits<std::size_t>::max());
+  }
+  return static_cast<std::size_t>(parse_threads(flags));
 }
 
 /// --stats <path>: one JSON snapshot of the process-wide registry,
@@ -306,10 +318,7 @@ int cmd_evaluate(const ArgMap& flags) {
 int cmd_batch(const ArgMap& flags) {
   const auto model_path = require_flag(flags, "model");
   const auto requests_path = require_flag(flags, "requests");
-  std::size_t threads = static_cast<std::size_t>(parse_threads(flags));
-  if (flags.count("threads") == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  const std::size_t threads = threads_or_all_cores(flags);
 
   std::vector<serve::BatchRequest> requests;
   {
@@ -358,10 +367,7 @@ int cmd_sweep(const ArgMap& flags) {
   }
   spec.axes = serve::parse_grid(require_flag(flags, "grid"));
   spec.workloads = split_csv(require_flag(flags, "workloads"));
-  spec.threads = static_cast<std::size_t>(parse_threads(flags));
-  if (flags.count("threads") == 0) {
-    spec.threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  spec.threads = threads_or_all_cores(flags);
   if (const auto it = flags.find("rank"); it != flags.end()) {
     spec.metric = serve::sweep_metric_from_string(it->second);
   }
@@ -459,10 +465,7 @@ int cmd_explore(const ArgMap& flags) {
   }
   spec.axes = serve::parse_grid(require_flag(flags, "grid"));
   spec.workloads = split_csv(require_flag(flags, "workloads"));
-  spec.threads = static_cast<std::size_t>(parse_threads(flags));
-  if (flags.count("threads") == 0) {
-    spec.threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  spec.threads = threads_or_all_cores(flags);
   spec.seed =
       static_cast<std::uint64_t>(parse_int_flag(flags, "seed", 1, 0));
   spec.population = static_cast<std::size_t>(
@@ -561,10 +564,7 @@ int cmd_serve(const ArgMap& flags) {
       parse_int_flag(flags, "max-connections", 64, 1));
   options.max_batch =
       static_cast<std::size_t>(parse_int_flag(flags, "max-batch", 32, 1));
-  options.engine.threads = static_cast<std::size_t>(parse_threads(flags));
-  if (flags.count("threads") == 0) {
-    options.engine.threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  options.engine.threads = threads_or_all_cores(flags);
 
   serve::Daemon daemon(specs, options);
 

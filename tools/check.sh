@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo health check: builds the default preset with warnings as errors,
 # re-runs the daemon drain-probe test 50 times under CPU load, builds
-# and tests the Release build type once, verifies the SIMD arch
-# flags stay confined to the dispatched TUs, runs the self-checking
+# the Release build type with warnings as errors and tests it once,
+# verifies -mavx2 stays confined to the AVX2 kernel TU (and -msse2 is
+# used nowhere), runs the self-checking
 # throughput benches (training core + SIMD tier differencing + batch
 # serving + daemon wire path + structural-memo sweep) and collects their
 # headline numbers into BENCH_train.json, BENCH_serve.json and
@@ -50,34 +51,36 @@ wait "${busy_pids[@]}" 2>/dev/null || true
 [ "$drain_status" -eq 0 ] \
   || { echo "drain probe failed under CPU load"; exit 1; }
 
-echo "== Release build: configure, build, ctest =="
+echo "== Release build (warnings as errors): configure, build, ctest =="
 # Release compiles the fault points out; tests that arm them skip with a
 # reason instead of failing, and everything else must pass unchanged.
-cmake -S . -B build-release -DCMAKE_BUILD_TYPE=Release
+# -O3 inlining must not raise warnings the default preset misses.
+cmake -S . -B build-release -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build-release -j "$(nproc)"
 ctest --test-dir build-release --output-on-failure -j "$(nproc)"
 
-echo "== SIMD flag isolation (arch flags stay in the dispatched TUs) =="
-# The runtime dispatcher is only sound if AVX2/SSE2 codegen is confined
-# to the per-tier translation units: -mavx2 leaking into a generally
-# linked TU would let the compiler emit AVX2 in code that runs on any
-# host.  compile_commands.json is exported by the default preset.
+echo "== SIMD flag isolation (-mavx2 stays in the AVX2 kernel TU) =="
+# The runtime dispatcher is only sound if AVX2 codegen is confined to
+# simd_avx2.cpp: -mavx2 leaking into a generally linked TU would let the
+# compiler emit AVX2 in code that runs on any host.  There is no SSE2
+# tier (the x86-64 baseline is SSE2 already), so -msse2 is refused on
+# every TU.  compile_commands.json is exported by the default preset.
 python3 - <<'EOF'
 import json, sys
 cc = json.load(open('build/compile_commands.json'))
 bad = []
 for e in cc:
     cmd = e.get('command') or ' '.join(e.get('arguments', []))
-    if '-mavx2' in cmd or '-msse2' in cmd:
-        f = e['file']
-        if not (f.endswith('simd_avx2.cpp') or f.endswith('simd_sse2.cpp')):
-            bad.append(f)
+    f = e['file']
+    if '-msse2' in cmd or ('-mavx2' in cmd and not f.endswith('simd_avx2.cpp')):
+        bad.append(f)
 if bad:
-    print('arch flags leaked outside the dispatched SIMD TUs:')
+    print('arch flags outside the AVX2 kernel TU:')
     for f in bad:
         print('  ' + f)
     sys.exit(1)
-print('arch flags confined to simd_sse2.cpp / simd_avx2.cpp')
+print('-mavx2 confined to simd_avx2.cpp; no -msse2 anywhere')
 EOF
 
 echo "== bench_train_throughput (self-check: bit-identity + speedup bars) =="
