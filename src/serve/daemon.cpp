@@ -329,11 +329,10 @@ void Daemon::serve() {
     reap_finished(/*join_all=*/false);
 
     if (active_.load(std::memory_order_relaxed) >= options_.max_connections) {
-      BatchResponse refusal;
-      refusal.ok = false;
-      refusal.error = "too_many_connections";
       try {
-        net::write_line(client.fd(), response_to_jsonl(refusal));
+        net::write_line(client.fd(),
+                        response_to_jsonl(failed_response(
+                            {}, 0, "too_many_connections")));
       } catch (const util::Error&) {
         // Client is already gone; nothing to refuse.
       }
@@ -414,11 +413,9 @@ void Daemon::handle_connection(Connection& conn) {
       try {
         request = daemon_request_from_jsonl(line);
       } catch (const util::Error& e) {
-        BatchResponse bad;
-        bad.index = seq;
-        bad.ok = false;
-        bad.error = e.what();
-        deliver(conn, seq, response_to_jsonl(bad), /*admitted=*/false);
+        deliver(conn, seq,
+                response_to_jsonl(failed_response({}, seq, e.what())),
+                /*admitted=*/false);
         ++seq;
         continue;
       }
@@ -445,14 +442,10 @@ void Daemon::handle_connection(Connection& conn) {
       requests_.fetch_add(1, std::memory_order_release);
       metrics_.requests.inc();
       if (draining) {
-        BatchResponse refused;
-        refused.index = seq;
-        refused.config = request.request.config;
-        refused.workload = request.request.workload;
-        refused.mode = request.request.mode;
-        refused.ok = false;
-        refused.error = "draining";
-        deliver(conn, seq, response_to_jsonl(refused), /*admitted=*/false);
+        deliver(conn, seq,
+                response_to_jsonl(
+                    failed_response(request.request, seq, "draining")),
+                /*admitted=*/false);
         ++seq;
         continue;
       }
@@ -462,14 +455,10 @@ void Daemon::handle_connection(Connection& conn) {
       ModelSlot* slot = find_slot(request.model);
       if (slot == nullptr) {
         metrics_.unknown_model.inc();
-        BatchResponse unknown;
-        unknown.index = seq;
-        unknown.config = request.request.config;
-        unknown.workload = request.request.workload;
-        unknown.mode = request.request.mode;
-        unknown.ok = false;
-        unknown.error = "unknown_model";
-        deliver(conn, seq, response_to_jsonl(unknown), /*admitted=*/false);
+        deliver(conn, seq,
+                response_to_jsonl(
+                    failed_response(request.request, seq, "unknown_model")),
+                /*admitted=*/false);
         ++seq;
         continue;
       }
@@ -512,14 +501,10 @@ void Daemon::handle_connection(Connection& conn) {
       } else {
         shed_.fetch_add(1, std::memory_order_relaxed);
         metrics_.shed.inc();
-        BatchResponse overloaded;
-        overloaded.index = seq;
-        overloaded.config = request.request.config;
-        overloaded.workload = request.request.workload;
-        overloaded.mode = request.request.mode;
-        overloaded.ok = false;
-        overloaded.error = "overloaded";
-        deliver(conn, seq, response_to_jsonl(overloaded), /*admitted=*/false);
+        deliver(conn, seq,
+                response_to_jsonl(
+                    failed_response(request.request, seq, "overloaded")),
+                /*admitted=*/false);
       }
       ++seq;
     }
@@ -717,14 +702,9 @@ void Daemon::process_batch(std::vector<Work>& batch,
     if (work.has_deadline && now >= work.deadline) {
       deadline_expired_.fetch_add(1, std::memory_order_relaxed);
       metrics_.deadline_expired.inc();
-      BatchResponse expired;
-      expired.index = work.seq;
-      expired.config = work.request.config;
-      expired.workload = work.request.workload;
-      expired.mode = work.request.mode;
-      expired.ok = false;
-      expired.error = "deadline exceeded";
-      deliver(*work.conn, work.seq, response_to_jsonl(expired),
+      deliver(*work.conn, work.seq,
+              response_to_jsonl(failed_response(work.request, work.seq,
+                                                "deadline exceeded")),
               /*admitted=*/true);
     } else {
       live.push_back(&work);
@@ -761,14 +741,9 @@ void Daemon::process_batch(std::vector<Work>& batch,
       // admitted request still gets a structured answer — a resident
       // daemon never drops a response on the floor.
       for (Work* work : works) {
-        BatchResponse failed;
-        failed.index = work->seq;
-        failed.config = work->request.config;
-        failed.workload = work->request.workload;
-        failed.mode = work->request.mode;
-        failed.ok = false;
-        failed.error = e.what();
-        deliver(*work->conn, work->seq, response_to_jsonl(failed),
+        deliver(*work->conn, work->seq,
+                response_to_jsonl(
+                    failed_response(work->request, work->seq, e.what())),
                 /*admitted=*/true);
       }
       continue;

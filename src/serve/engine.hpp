@@ -10,22 +10,22 @@
 // (response memo, EvalCache) is qualified by the pinned model's archive
 // fingerprint, so entries filled under one model can never be served for
 // another — the stale-model hazard hot-swap would otherwise create.
-// run() executes every request and returns responses IN INPUT ORDER; each
-// worker thread owns a private PerfSimulator (the simulator's instance
-// memo is not thread-safe) while the serve::EvalCache deduplicates
-// (config, workload) simulations and the response memo (always on)
-// answers exact repeat queries — (config, workload, mode) — without
-// touching the model at all; trace responses are never memoised.
-// Underneath both, every worker simulator shares the engine's
-// util::StructuralSimCache, so the expensive cache/TLB/branch structural
-// measurements are computed once per distinct sub-key across ALL workers
-// and ALL modes — including kTrace, whose simulate_trace calls previously
-// redid the full structural work in every worker.  All layers persist
-// across run() calls.
+// run() executes every request and returns responses IN INPUT ORDER.
+// Exact repeats — (config, workload, mode) — are answered from the
+// response memo without touching the model; trace responses are never
+// memoised.  The memo misses a worker claims share one batched
+// evaluation (serve::evaluate_cells): contexts from the EvalCache, which
+// deduplicates (config, workload) simulations, then one predict_batch.
+// Each worker owns a private PerfSimulator (its instance memo is not
+// thread-safe), and all of them share the engine's
+// util::StructuralSimCache, so cache/TLB/branch measurements are made
+// once per distinct sub-key across all workers and modes.  Every layer
+// persists across run() calls.
 //
 // Determinism contract: the simulator, feature extraction, and the model
-// are all deterministic, so `run(reqs)` is bit-identical for any thread
-// count — including the serial `predict` loop it replaces.  A request
+// are all deterministic and the batched predict is element-wise equal to
+// the single-context one, so `run(reqs)` is bit-identical for any thread
+// count — and to a serial `predict` loop.  A request
 // that fails (unknown config/workload, untrained model, or any exception
 // escaping its evaluation) yields ok=false with the error message, at
 // every thread count; it never aborts the rest of the batch, and run()
@@ -58,6 +58,7 @@
 
 #include "core/autopower.hpp"
 #include "serve/eval_cache.hpp"
+#include "serve/evaluate.hpp"
 #include "util/metrics.hpp"
 #include "util/structural_cache.hpp"
 
@@ -100,6 +101,11 @@ struct BatchResponse {
   std::vector<ComponentBreakdown> components;  ///< kPerComponent only
   std::vector<double> trace_mw;                ///< kTrace only
 };
+
+/// A failed response echoing `request` at `index`.
+[[nodiscard]] BatchResponse failed_response(const BatchRequest& request,
+                                            std::size_t index,
+                                            std::string error);
 
 struct EngineOptions {
   /// Requested workers per run(); util::worker_count clamps it to the
@@ -155,13 +161,26 @@ class BatchEngine {
     std::unordered_map<std::string, std::shared_ptr<const BatchResponse>> map;
   };
 
-  [[nodiscard]] BatchResponse handle(const BatchRequest& request,
-                                     std::size_t index,
-                                     const sim::PerfSimulator& sim,
-                                     const core::AutoPowerModel& model);
-  [[nodiscard]] BatchResponse compute(const BatchRequest& request,
-                                      const sim::PerfSimulator& sim,
-                                      const core::AutoPowerModel& model);
+  [[nodiscard]] ResponseShard& shard_for(const std::string& key) noexcept;
+  /// Answers a trace request or a response-memo hit into `out` and
+  /// returns true; returns false (out untouched) on a memo miss.
+  [[nodiscard]] bool answer(const BatchRequest& request, std::size_t index,
+                            const sim::PerfSimulator& sim,
+                            const core::AutoPowerModel& model,
+                            BatchResponse& out);
+  [[nodiscard]] BatchResponse trace(const BatchRequest& request,
+                                    const sim::PerfSimulator& sim,
+                                    const core::AutoPowerModel& model);
+  /// Evaluates one worker's memo misses (request indices) as one batch —
+  /// contexts from the EvalCache, one shared predict — and memoises
+  /// each successful response.  `lookup_ns[k]` is miss k's own time so
+  /// far, for the per-request latency histogram.
+  void predict_misses(std::span<const BatchRequest> requests,
+                      std::span<const std::size_t> misses,
+                      std::span<const std::uint64_t> lookup_ns,
+                      const sim::PerfSimulator& sim,
+                      const core::AutoPowerModel& model,
+                      std::span<BatchResponse> responses);
   /// Post-run bookkeeping: failed-request count and the structural-cache
   /// gauge export (no-op while metrics are disabled).
   void finish_run(std::span<const BatchResponse> responses);

@@ -4,13 +4,12 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
-#include <exception>
 #include <limits>
 #include <ostream>
 #include <utility>
 
-#include "arch/events.hpp"
 #include "serve/checkpoint.hpp"
+#include "serve/evaluate.hpp"
 #include "serve/jsonl.hpp"
 #include "sim/perfsim.hpp"
 #include "util/error.hpp"
@@ -147,71 +146,95 @@ arch::HardwareConfig GridCursor::config_at(std::size_t index) const {
 
 namespace {
 
-SweepCell evaluate_cell(const core::AutoPowerModel& model,
-                        const sim::PerfSimulator& sim,
-                        const arch::HardwareConfig& cfg,
-                        const workload::WorkloadProfile& profile,
-                        const workload::ProgramFeatures& program) {
-  SweepCell cell;
-  cell.workload = profile.name;
-  try {
-    core::EvalContext ctx;
-    ctx.cfg = &cfg;
-    ctx.workload = profile.name;
-    ctx.program = program;
-    ctx.events = sim.simulate(cfg, profile);
-    cell.total_mw = model.predict_total(ctx);
-    cell.ipc = ctx.events.rate(arch::EventKind::kInstructions);
-    cell.ok = true;
-  } catch (const std::exception& e) {
-    cell.ok = false;
-    cell.error = e.what();
-  }
-  return cell;
-}
+/// The workloads every row is evaluated on, resolved once per call.  An
+/// unknown name throws here: it is a spec error (it would fail every
+/// cell), unlike a bad grid point, which fails alone.
+struct RowWorkloads {
+  std::vector<const workload::WorkloadProfile*> profiles;
+  std::vector<workload::ProgramFeatures> programs;
 
-/// Fills one named config's cells and summary means.  Shared by the
-/// streaming sweep workers and evaluate_configs so both paths produce
-/// bit-identical rows for the same configuration.
-void fill_row(const core::AutoPowerModel& model,
-              const sim::PerfSimulator& sim, SweepRow& row,
-              const std::vector<const workload::WorkloadProfile*>& profiles,
-              const std::vector<workload::ProgramFeatures>& programs,
-              util::Counter& m_cells, util::Counter& m_failed,
-              util::Histogram& m_cell_latency) {
-  const std::size_t n_workloads = profiles.size();
-  row.cells.clear();
-  row.cells.reserve(n_workloads);
-  double mw = 0.0, ipc = 0.0;
-  std::size_t ok = 0;
-  for (std::size_t j = 0; j < n_workloads; ++j) {
-    SweepCell cell;
-    {
-      util::ScopedTimer timer(m_cell_latency);
-      cell = evaluate_cell(model, sim, row.config, *profiles[j],
-                           programs[j]);
-    }
-    m_cells.inc();
-    if (cell.ok) {
-      mw += cell.total_mw;
-      ipc += cell.ipc;
-      ++ok;
-    } else {
-      m_failed.inc();
-    }
-    row.cells.push_back(std::move(cell));
-  }
-  row.failed = n_workloads - ok;
-  row.mean_total_mw = 0.0;
-  row.mean_ipc = 0.0;
-  row.ipc_per_watt = 0.0;
-  if (ok > 0) {
-    row.mean_total_mw = mw / static_cast<double>(ok);
-    row.mean_ipc = ipc / static_cast<double>(ok);
-    if (row.mean_total_mw > 0.0) {
-      row.ipc_per_watt = row.mean_ipc / (row.mean_total_mw / 1000.0);
+  explicit RowWorkloads(std::span<const std::string> names) {
+    profiles.reserve(names.size());
+    programs.reserve(names.size());
+    for (const std::string& name : names) {
+      profiles.push_back(&workload::workload_by_name(name));
+      programs.push_back(workload::program_features(*profiles.back()));
     }
   }
+};
+
+/// Process-wide cell instruments; the cells counter is what the CLI's
+/// --progress monitor polls while a sweep runs.
+struct CellMetrics {
+  util::Counter& cells = util::MetricsRegistry::global().counter(
+      "serve.sweep.cells");
+  util::Counter& failed = util::MetricsRegistry::global().counter(
+      "serve.sweep.cells_failed");
+  util::Histogram& latency = util::MetricsRegistry::global().histogram(
+      "serve.sweep.cell_latency_ns");
+};
+
+/// Evaluates every (row, workload) cell of `rows` — row-major, so cell k
+/// is rows[k / W] on workload k % W — through one evaluate_cells call,
+/// then fills each row's cells and summary means.  Shared by the
+/// streaming sweep workers and evaluate_configs, so both paths produce
+/// bit-identical rows for the same configuration.  The batch is timed
+/// once: cell_latency_ns gains one observation per cell, and together
+/// they sum to the batch's time.
+void fill_rows(const core::AutoPowerModel& model,
+               const sim::PerfSimulator& sim, std::span<SweepRow> rows,
+               const RowWorkloads& workloads, std::vector<CellResult>& results,
+               const CellMetrics& metrics) {
+  const std::size_t n_workloads = workloads.profiles.size();
+  results.resize(rows.size() * n_workloads);
+  {
+    util::ScopedTimer timer(metrics.latency, results.size());
+    evaluate_cells(
+        model,
+        [&](std::size_t k, core::EvalContext& ctx) {
+          const arch::HardwareConfig& cfg = rows[k / n_workloads].config;
+          const workload::WorkloadProfile& profile =
+              *workloads.profiles[k % n_workloads];
+          ctx.cfg = &cfg;
+          ctx.workload = profile.name;
+          ctx.program = workloads.programs[k % n_workloads];
+          ctx.events = sim.simulate(cfg, profile);
+        },
+        results);
+  }
+  std::size_t failed = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    SweepRow& row = rows[r];
+    row.cells.clear();
+    row.cells.reserve(n_workloads);
+    double mw = 0.0, ipc = 0.0;
+    std::size_t ok = 0;
+    for (std::size_t j = 0; j < n_workloads; ++j) {
+      CellResult& result = results[r * n_workloads + j];
+      row.cells.push_back({workloads.profiles[j]->name, result.ok,
+                           std::move(result.error), result.total_mw,
+                           result.ipc});
+      if (result.ok) {
+        mw += result.total_mw;
+        ipc += result.ipc;
+        ++ok;
+      }
+    }
+    row.failed = n_workloads - ok;
+    failed += row.failed;
+    row.mean_total_mw = 0.0;
+    row.mean_ipc = 0.0;
+    row.ipc_per_watt = 0.0;
+    if (ok > 0) {
+      row.mean_total_mw = mw / static_cast<double>(ok);
+      row.mean_ipc = ipc / static_cast<double>(ok);
+      if (row.mean_total_mw > 0.0) {
+        row.ipc_per_watt = row.mean_ipc / (row.mean_total_mw / 1000.0);
+      }
+    }
+  }
+  metrics.cells.add(results.size());
+  if (failed > 0) metrics.failed.add(failed);
 }
 
 /// Metric under which a row sorts; larger is always better (power is
@@ -313,15 +336,7 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
   const std::size_t n_configs = cursor.size();
   const std::size_t n_workloads = spec.workloads.size();
 
-  // Resolve workloads up front: an unknown name is a spec error (it would
-  // fail every cell), unlike a bad grid point which fails alone.
-  std::vector<const workload::WorkloadProfile*> profiles;
-  std::vector<workload::ProgramFeatures> programs;
-  profiles.reserve(n_workloads);
-  for (const std::string& name : spec.workloads) {
-    profiles.push_back(&workload::workload_by_name(name));
-    programs.push_back(workload::program_features(*profiles.back()));
-  }
+  const RowWorkloads workloads(spec.workloads);
 
   if (structural == nullptr) {
     // --memory-budget sizes the shared L2 tier; entries are ~64 B
@@ -361,12 +376,8 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
         spec.checkpoint, fingerprint, n_configs, n_workloads, keep_bytes);
   }
 
-  // Process-wide instruments; the cells counter is what the CLI's
-  // --progress monitor polls while the sweep runs.
   auto& registry = util::MetricsRegistry::global();
-  auto& m_cells = registry.counter("serve.sweep.cells");
-  auto& m_failed = registry.counter("serve.sweep.cells_failed");
-  auto& m_cell_latency = registry.histogram("serve.sweep.cell_latency_ns");
+  const CellMetrics m_cell;
   auto& m_chunks = registry.counter("serve.sweep.chunks");
   auto& m_stolen = registry.counter("serve.sweep.chunks_stolen");
   const auto sweep_start = std::chrono::steady_clock::now();
@@ -392,25 +403,34 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
   const auto worker_loop = [&](std::size_t w) {
     sim::PerfSimulator sim(sim::SimOptions{}, structural);
     TopKRanker& ranker = rankers[w];
+    std::vector<SweepRow> rows;
+    std::vector<CellResult> results;
     std::string name_scratch;
     std::string json_scratch;
     std::array<int, arch::kNumHwParams> values_scratch{};
 
-    const auto evaluate_config = [&](std::size_t index) {
-      if (!done.empty() && done[index]) return;  // replayed from checkpoint
-      SweepRow row;
-      row.index = index;
-      cursor.values_at(index, values_scratch);
-      cursor.format_name(index, name_scratch);
-      row.config = arch::HardwareConfig(name_scratch, values_scratch);
-      fill_row(model, sim, row, profiles, programs, m_cells, m_failed,
-               m_cell_latency);
-      if (checkpoint != nullptr) {
-        json_scratch.clear();
-        append_row_json(json_scratch, row);
-        checkpoint->append(index, json_scratch);
+    // One chunk = one batch: every config the chunk has not replayed
+    // from the checkpoint, on every workload.  Its checkpoint rows are
+    // appended once the whole chunk is evaluated.
+    const auto evaluate_chunk = [&](std::size_t begin, std::size_t end) {
+      rows.clear();
+      for (std::size_t index = begin; index < end; ++index) {
+        if (!done.empty() && done[index]) continue;  // replayed
+        SweepRow& row = rows.emplace_back();
+        row.index = index;
+        cursor.values_at(index, values_scratch);
+        cursor.format_name(index, name_scratch);
+        row.config = arch::HardwareConfig(name_scratch, values_scratch);
       }
-      ranker.offer(std::move(row));
+      fill_rows(model, sim, rows, workloads, results, m_cell);
+      for (SweepRow& row : rows) {
+        if (checkpoint != nullptr) {
+          json_scratch.clear();
+          append_row_json(json_scratch, row);
+          checkpoint->append(row.index, json_scratch);
+        }
+        ranker.offer(std::move(row));
+      }
     };
 
     // Own shard first, then one pass over the victims: a shard's cursor
@@ -421,7 +441,7 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
       while (claim_chunk(shard, chunk, begin, end)) {
         m_chunks.inc();
         if (off != 0) m_stolen.inc();
-        for (std::size_t i = begin; i < end; ++i) evaluate_config(i);
+        evaluate_chunk(begin, end);
       }
     }
   };
@@ -482,40 +502,31 @@ std::vector<SweepRow> evaluate_configs(
     std::shared_ptr<util::StructuralSimCache> structural) {
   AP_REQUIRE(!workloads.empty(),
              "evaluate_configs needs at least one workload");
-  std::vector<const workload::WorkloadProfile*> profiles;
-  std::vector<workload::ProgramFeatures> programs;
-  profiles.reserve(workloads.size());
-  for (const std::string& name : workloads) {
-    profiles.push_back(&workload::workload_by_name(name));
-    programs.push_back(workload::program_features(*profiles.back()));
-  }
+  const RowWorkloads resolved(workloads);
   if (structural == nullptr) {
     structural = std::make_shared<util::StructuralSimCache>();
   }
-  auto& registry = util::MetricsRegistry::global();
-  auto& m_cells = registry.counter("serve.sweep.cells");
-  auto& m_failed = registry.counter("serve.sweep.cells_failed");
-  auto& m_cell_latency = registry.histogram("serve.sweep.cell_latency_ns");
+  const CellMetrics m_cell;
 
   std::vector<SweepRow> rows(configs.size());
   if (configs.empty()) return rows;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    rows[i].index = i;
+    rows[i].config = configs[i];
+  }
 
-  // Results land at their input index, so the output order (and every
-  // byte of it) is independent of the claim schedule.
-  std::atomic<std::size_t> next{0};
-  const auto worker_loop = [&](std::size_t) {
-    sim::PerfSimulator sim(sim::SimOptions{}, structural);
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < configs.size();
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      SweepRow& row = rows[i];
-      row.index = i;
-      row.config = configs[i];
-      fill_row(model, sim, row, profiles, programs, m_cells, m_failed,
-               m_cell_latency);
-    }
+  // Each worker batches one contiguous slice; rows are written in place,
+  // so the output (and every byte of it) is independent of the split.
+  const std::size_t workers = util::worker_count(threads, configs.size());
+  const auto worker_loop = [&](std::size_t w) {
+    const sim::PerfSimulator sim(sim::SimOptions{}, structural);
+    std::vector<CellResult> results;
+    const std::size_t begin = rows.size() * w / workers;
+    const std::size_t end = rows.size() * (w + 1) / workers;
+    fill_rows(model, sim, std::span(rows).subspan(begin, end - begin),
+              resolved, results, m_cell);
   };
-  util::run_workers(util::worker_count(threads, configs.size()), worker_loop);
+  util::run_workers(workers, worker_loop);
   return rows;
 }
 

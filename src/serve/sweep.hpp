@@ -11,7 +11,9 @@
 // decode), so a 10^7-cell sweep holds O(workers + top-K) rows, not
 // O(grid).  Workers claim chunked index ranges from per-worker shards and
 // steal chunks from each other when their own shard drains, so skewed
-// per-cell costs cannot idle a worker.  With `--top K` each worker feeds
+// per-cell costs cannot idle a worker.  A chunk's configs x workloads
+// are evaluated as one batch (serve::evaluate_cells): per-cell
+// simulation, then one shared predict.  With `--top K` each worker feeds
 // a bounded K-heap, merged and ranked at the end.  A `--checkpoint` file
 // records every finished configuration as a crc-guarded JSONL line;
 // `--resume` replays it and skips the finished indices, and the final
@@ -173,8 +175,9 @@ struct SweepReport {
 
 /// Evaluates an explicit configuration list — every (config, workload)
 /// cell, performance simulation + power prediction — over `threads`
-/// workers (clamped like run_sweep) sharing one structural cache
-/// (`structural` if given, else a fresh unbounded one).  Returns one
+/// workers (clamped like run_sweep), each evaluating one contiguous
+/// slice as one batch, sharing one structural cache (`structural` if
+/// given, else a fresh unbounded one).  Returns one
 /// finalized row per config, in input order, with row.index = input
 /// position (callers that address a grid rewrite it).  Rows are
 /// bit-identical to the run_sweep rows for the same configs, for any

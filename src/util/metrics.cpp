@@ -51,14 +51,15 @@ double Gauge::value() const noexcept {
 
 // --- Histogram ---------------------------------------------------------------
 
-void Histogram::observe(std::uint64_t value) noexcept {
+void Histogram::record(std::uint64_t bucket_value, std::uint64_t total,
+                       std::uint64_t n) noexcept {
   if (!MetricsRegistry::enabled()) return;
   Shard& shard = shards_[metrics_detail::thread_slot() % shards_.size()];
   const std::size_t bucket =
-      std::min<std::size_t>(std::bit_width(value), kBuckets - 1);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(value, std::memory_order_relaxed);
-  shard.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+      std::min<std::size_t>(std::bit_width(bucket_value), kBuckets - 1);
+  shard.count.fetch_add(n, std::memory_order_relaxed);
+  shard.sum.fetch_add(total, std::memory_order_relaxed);
+  shard.buckets[bucket].fetch_add(n, std::memory_order_relaxed);
 }
 
 std::uint64_t Histogram::count() const noexcept {

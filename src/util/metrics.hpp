@@ -94,7 +94,14 @@ class Histogram {
   /// everything >= 2^(kBuckets-2) (the overflow range).
   static constexpr std::size_t kBuckets = 40;
 
-  void observe(std::uint64_t value) noexcept;
+  void observe(std::uint64_t value) noexcept { record(value, value, 1); }
+  /// Records `n` observations that together measured `total` (a stage
+  /// timed once for a batch of n items): count gains n, sum gains
+  /// `total`, and the bucket of the mean total / n gains n.  So sum /
+  /// count stays the per-item mean however the items were batched.
+  void observe_many(std::uint64_t total, std::uint64_t n) noexcept {
+    if (n > 0) record(total / n, total, n);
+  }
   [[nodiscard]] std::uint64_t count() const noexcept;
   [[nodiscard]] std::uint64_t sum() const noexcept;
   /// Count in bucket i (see kBuckets for the bucket → range mapping).
@@ -105,6 +112,10 @@ class Histogram {
   void reset() noexcept;
 
  private:
+  /// n observations summing to `total`, counted in `bucket_value`'s bucket.
+  void record(std::uint64_t bucket_value, std::uint64_t total,
+              std::uint64_t n) noexcept;
+
   struct alignas(64) Shard {
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> sum{0};
@@ -163,12 +174,14 @@ class MetricsRegistry {
 };
 
 /// RAII timer: records the scope's duration (nanoseconds) into a
-/// histogram on destruction.  Constructing with metrics disabled skips
+/// histogram on destruction, as `items` observations that share it
+/// (Histogram::observe_many).  Constructing with metrics disabled skips
 /// the clock reads entirely.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Histogram& hist) noexcept
+  explicit ScopedTimer(Histogram& hist, std::uint64_t items = 1) noexcept
       : hist_(MetricsRegistry::enabled() ? &hist : nullptr),
+        items_(items),
         start_(hist_ != nullptr ? std::chrono::steady_clock::now()
                                 : std::chrono::steady_clock::time_point{}) {}
   ScopedTimer(const ScopedTimer&) = delete;
@@ -178,11 +191,13 @@ class ScopedTimer {
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start_)
                         .count();
-    hist_->observe(ns > 0 ? static_cast<std::uint64_t>(ns) : 0u);
+    hist_->observe_many(ns > 0 ? static_cast<std::uint64_t>(ns) : 0u,
+                        items_);
   }
 
  private:
   Histogram* hist_;
+  std::uint64_t items_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -9,7 +9,9 @@
 //   (c) cold vs memoized / shared-structural-cache simulate and
 //       simulate_trace -> identical event vectors,
 //   (d) serial vs multi-threaded train / batch engine / sweep ->
-//       byte-equal archives and field-identical reports.
+//       byte-equal archives and field-identical reports,
+//   (e) the batched cell evaluator at any batch size vs one
+//       simulate + predict per cell -> identical doubles.
 //
 // On failure the proptest runner prints the base seed and the exact
 // AUTOPOWER_PROPTEST_SEED line that reproduces the case; this binary
@@ -19,6 +21,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -33,6 +37,7 @@
 #include "ml/gbt.hpp"
 #include "power/golden.hpp"
 #include "serve/engine.hpp"
+#include "serve/evaluate.hpp"
 #include "serve/sweep.hpp"
 #include "sim/perfsim.hpp"
 #include "testcore/generators.hpp"
@@ -588,6 +593,162 @@ TEST_F(EngineInvariance, SerialVsThreadedSweepBitIdentical) {
       },
       describe_sweep);
   ASSERT_TRUE(result.passed) << result.report;
+}
+
+// ---------------------------------------------------------------------
+// Oracle: the batched evaluator does not depend on how cells are
+// batched.  Random cells (some on a configuration the simulator rejects)
+// go through evaluate_cells in slices of 1, 7 and all of them; every
+// cell must match simulating it alone and calling predict_total (or
+// predict, for the breakdown) on it, bit for bit.
+
+struct EvalCase {
+  std::vector<arch::HardwareConfig> configs;  ///< one per cell
+  std::vector<std::string> workloads;         ///< one per cell
+  bool breakdown = false;
+};
+
+std::string describe_eval(const EvalCase& c) {
+  std::ostringstream out;
+  out << c.configs.size() << " cells" << (c.breakdown ? " (breakdown)" : "")
+      << ":";
+  for (std::size_t i = 0; i < c.configs.size(); ++i) {
+    out << " " << c.configs[i].name() << "/" << c.workloads[i];
+  }
+  return out.str();
+}
+
+TEST_F(EngineInvariance, EvaluatorBatchSizeDoesNotChangeCells) {
+  const auto result = testcore::run_property<EvalCase>(
+      {.name = "evaluate_cells.batch_size", .cases = 60},
+      [](Pcg32& rng) {
+        EvalCase c;
+        const auto& space = arch::boom_design_space();
+        const auto& riscv = workload::riscv_tests_workloads();
+        const std::size_t n = 1 + rng.index(16);
+        for (std::size_t i = 0; i < n; ++i) {
+          const arch::HardwareConfig& base = space[rng.index(space.size())];
+          if (rng.next_bool(0.2)) {
+            // A non-power-of-two fetch width: simulate throws for it.
+            std::array<int, arch::kNumHwParams> values{};
+            for (arch::HwParam p : arch::all_hw_params()) {
+              values[static_cast<std::size_t>(p)] = base.value(p);
+            }
+            values[static_cast<std::size_t>(
+                arch::HwParam::kICacheFetchBytes)] = 3;
+            c.configs.emplace_back(base.name() + "+ICacheFetchBytes=3",
+                                   values);
+          } else {
+            c.configs.push_back(base);
+          }
+          c.workloads.push_back(riscv[rng.index(riscv.size())].name);
+        }
+        c.breakdown = rng.next_bool();
+        return c;
+      },
+      [](const EvalCase& c) -> std::optional<std::string> {
+        const core::AutoPowerModel& model = **model_;
+        const sim::PerfSimulator sim;
+        const auto build = [&](std::size_t i, core::EvalContext& ctx) {
+          const auto& profile = workload::workload_by_name(c.workloads[i]);
+          ctx.cfg = &c.configs[i];
+          ctx.workload = profile.name;
+          ctx.program = workload::program_features(profile);
+          ctx.events = sim.simulate(c.configs[i], profile);
+        };
+        const std::size_t n = c.configs.size();
+
+        // The reference: each cell alone, with the single-context calls.
+        std::vector<serve::CellResult> want(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          try {
+            core::EvalContext ctx;
+            build(i, ctx);
+            if (c.breakdown) {
+              want[i].power = model.predict(ctx);
+              want[i].total_mw = want[i].power.total();
+            } else {
+              want[i].total_mw = model.predict_total(ctx);
+            }
+            want[i].ipc = ctx.events.rate(arch::EventKind::kInstructions);
+            want[i].ok = true;
+          } catch (const std::exception& e) {
+            want[i].error = e.what();
+          }
+        }
+
+        for (const std::size_t slice : {std::size_t{1}, std::size_t{7}, n}) {
+          std::vector<serve::CellResult> got(n);
+          for (std::size_t begin = 0; begin < n; begin += slice) {
+            const std::size_t len = std::min(slice, n - begin);
+            serve::evaluate_cells(
+                model,
+                [&](std::size_t k, core::EvalContext& ctx) {
+                  build(begin + k, ctx);
+                },
+                std::span(got).subspan(begin, len), c.breakdown);
+          }
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::string where = "slice " + std::to_string(slice) +
+                                      ", cell " + std::to_string(i) + ": ";
+            if (got[i].ok != want[i].ok || got[i].error != want[i].error) {
+              return where + "ok/error differ: '" + got[i].error + "' vs '" +
+                     want[i].error + "'";
+            }
+            if (got[i].total_mw != want[i].total_mw ||
+                got[i].ipc != want[i].ipc) {
+              return where + "total_mw/ipc differ";
+            }
+            const auto& gc = got[i].power.components;
+            const auto& wc = want[i].power.components;
+            if (gc.size() != wc.size()) {
+              return where + "component counts differ";
+            }
+            for (std::size_t j = 0; j < gc.size(); ++j) {
+              if (gc[j].component != wc[j].component ||
+                  gc[j].groups.clock != wc[j].groups.clock ||
+                  gc[j].groups.sram != wc[j].groups.sram ||
+                  gc[j].groups.logic_register !=
+                      wc[j].groups.logic_register ||
+                  gc[j].groups.logic_comb != wc[j].groups.logic_comb) {
+                return where + "component " + std::to_string(j) + " differs";
+              }
+            }
+          }
+        }
+        return std::nullopt;
+      },
+      describe_eval);
+  ASSERT_TRUE(result.passed) << result.report;
+}
+
+// A report-all sweep (top = 0) serialises to the same row bytes at 1, 2
+// and 4 threads: the claim schedule changes how configs are chunked
+// into batches, never what a row holds.
+TEST_F(EngineInvariance, SweepRowBytesIndependentOfThreadCount) {
+  serve::SweepSpec spec;
+  spec.base = "C8";
+  spec.axes = serve::parse_grid(
+      "RobEntry=64,80,96,112;FetchBufferEntry=16,24,32;"
+      "LdqStqEntry=16,24,32,40");
+  spec.workloads = {"dhrystone", "qsort"};
+  spec.top = 0;
+  std::string want;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    spec.threads = threads;
+    const auto report = serve::run_sweep(**model_, spec);
+    ASSERT_EQ(report.rows.size(), 48u);
+    std::string bytes;
+    for (const auto& row : report.rows) {
+      serve::append_row_json(bytes, row);
+      bytes += '\n';
+    }
+    if (threads == 1) {
+      want = bytes;
+    } else {
+      EXPECT_EQ(bytes, want) << "threads " << threads;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -125,6 +125,20 @@ TEST(MetricsRegistryTest, ScopedTimerObservesOnce) {
   EXPECT_EQ(h.count(), 1u);
 }
 
+TEST(MetricsRegistryTest, ObserveManyKeepsSumAndCountPerItem) {
+  // A stage timed once for a batch of items: count gains the items, sum
+  // the batch total, and the items land in the bucket of their mean.
+  util::MetricsRegistry registry;
+  util::Histogram& h = registry.histogram("batch");
+  h.observe_many(100, 4);  // mean 25 -> bucket 5 ([16,31])
+  h.observe_many(7, 0);    // an empty batch records nothing
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.sum(), 100u);
+  EXPECT_EQ(h.bucket(5), 4u);
+  { util::ScopedTimer t(h, 3); }
+  EXPECT_EQ(h.count(), 7u);
+}
+
 TEST(MetricsRegistryTest, ConcurrentIncrementsSumExactly) {
   util::MetricsRegistry registry;
   util::Counter& c = registry.counter("concurrent");

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -481,6 +482,69 @@ TEST_F(EngineTest, RunPopulatesGlobalMetrics) {
   EXPECT_EQ(rs.hits + rs.misses, 12u);
 }
 
+bool same_response(const BatchResponse& a, const BatchResponse& b) {
+  if (a.index != b.index || a.config != b.config ||
+      a.workload != b.workload || a.mode != b.mode || a.ok != b.ok ||
+      a.error != b.error || a.total_mw != b.total_mw ||
+      a.trace_mw != b.trace_mw ||
+      a.components.size() != b.components.size()) {
+    return false;
+  }
+  for (std::size_t j = 0; j < a.components.size(); ++j) {
+    const auto& x = a.components[j];
+    const auto& y = b.components[j];
+    if (x.component != y.component || x.clock_mw != y.clock_mw ||
+        x.sram_mw != y.sram_mw || x.logic_mw != y.logic_mw ||
+        x.total_mw != y.total_mw) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST_F(EngineTest, MixedBatchMatchesOneRequestAtATime) {
+  // One batch holding every kind of request the engine answers
+  // differently: memo hits (warmed below), fresh misses that share a
+  // batched predict, a duplicate miss, an unknown config and a trace.
+  const std::vector<BatchRequest> warm = {
+      {"C2", "dhrystone", PredictMode::kTotal},
+      {"C6", "median", PredictMode::kPerComponent},
+  };
+  const std::vector<BatchRequest> mixed = {
+      {"C2", "dhrystone", PredictMode::kTotal},        // hit
+      {"C4", "qsort", PredictMode::kTotal},            // miss
+      {"C99", "qsort", PredictMode::kTotal},           // unknown config
+      {"C3", "towers", PredictMode::kTrace},           // trace
+      {"C6", "median", PredictMode::kPerComponent},    // hit
+      {"C10", "rsort", PredictMode::kPerComponent},    // miss
+      {"C4", "qsort", PredictMode::kPerComponent},     // miss, other mode
+      {"C12", "vvadd", PredictMode::kTotal},           // miss
+      {"C4", "qsort", PredictMode::kTotal},            // duplicate miss
+      {"C2", "no_such_workload", PredictMode::kTotal}, // unknown workload
+  };
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    BatchEngine engine(model(), {.threads = threads});
+    for (const auto& r : engine.run(warm)) ASSERT_TRUE(r.ok) << r.error;
+    const auto got = engine.run(mixed);
+    ASSERT_EQ(got.size(), mixed.size());
+    for (std::size_t i = 0; i < mixed.size(); ++i) {
+      BatchEngine alone(model(), {.threads = 1});
+      auto want = alone.run(std::span(&mixed[i], 1)).front();
+      want.index = i;
+      EXPECT_TRUE(same_response(got[i], want)) << "request " << i;
+    }
+    EXPECT_FALSE(got[2].ok);
+    EXPECT_FALSE(got[9].ok);
+    // Two warm misses, then per non-trace mixed request one lookup: the
+    // two warmed keys hit, the duplicate adopts the first C4/qsort/total
+    // (a hit), and the 4 fresh keys plus 2 failures count misses.
+    const auto stats = engine.response_stats();
+    EXPECT_EQ(stats.hits, 3u);
+    EXPECT_EQ(stats.misses, 2u + 6u);
+  }
+}
+
 TEST_F(EngineTest, EmptyBatchAndNullModel) {
   BatchEngine engine(model(), {.threads = 2});
   EXPECT_TRUE(engine.run({}).empty());
@@ -721,6 +785,45 @@ TEST_F(SweepTest, BadGridPointFailsAloneAndRanksLast) {
   EXPECT_EQ(run_sweep(*model(), spec).rows.size(), 1u);
 }
 
+TEST_F(SweepTest, BadGridPointFailsAloneInsideASharedBatch) {
+  // ICacheFetchBytes is the fastest axis, so every chunk — one batch —
+  // holds a bad point between two good ones, across three workloads.
+  SweepSpec spec;
+  spec.base = "C8";
+  spec.axes = parse_grid(
+      "RobEntry=64,80,96,112,128,144,160,176;ICacheFetchBytes=2,3,4");
+  spec.workloads = {"dhrystone", "qsort", "towers"};
+  const auto report = run_sweep(*model(), spec);
+  ASSERT_EQ(report.rows.size(), 24u);
+
+  // The good rows, evaluated without any bad point anywhere near them.
+  SweepSpec good_spec = spec;
+  good_spec.axes = parse_grid(
+      "RobEntry=64,80,96,112,128,144,160,176;ICacheFetchBytes=2,4");
+  std::map<std::string, std::string> good_bytes;
+  for (const auto& row : run_sweep(*model(), good_spec).rows) {
+    append_row_json(good_bytes[row.config.name()], row);
+  }
+
+  std::size_t failed_rows = 0;
+  for (const auto& row : report.rows) {
+    if (row.config.value(arch::HwParam::kICacheFetchBytes) == 3) {
+      ++failed_rows;
+      EXPECT_EQ(row.failed, spec.workloads.size());
+      for (const auto& cell : row.cells) {
+        EXPECT_FALSE(cell.ok);
+        EXPECT_FALSE(cell.error.empty());
+      }
+      continue;
+    }
+    EXPECT_EQ(row.failed, 0u) << row.config.name();
+    std::string bytes;
+    append_row_json(bytes, row);
+    EXPECT_EQ(bytes, good_bytes.at(row.config.name()));
+  }
+  EXPECT_EQ(failed_rows, 8u);
+}
+
 TEST_F(SweepTest, ConcurrentSweepsShareOneStructuralCache) {
   // Two sweeps over overlapping grids run concurrently against ONE shared
   // structural cache — the arrangement tools/check.sh exercises under
@@ -760,6 +863,8 @@ TEST_F(SweepTest, SweepPopulatesGlobalMetrics) {
   const auto cells_before = registry.counter("serve.sweep.cells").value();
   const auto latency_before =
       registry.histogram("serve.sweep.cell_latency_ns").count();
+  const auto latency_sum_before =
+      registry.histogram("serve.sweep.cell_latency_ns").sum();
 
   SweepSpec spec;
   spec.base = "C8";
@@ -770,8 +875,12 @@ TEST_F(SweepTest, SweepPopulatesGlobalMetrics) {
 
   EXPECT_EQ(report.evaluations, 4u);
   EXPECT_EQ(registry.counter("serve.sweep.cells").value(), cells_before + 4u);
+  // Timed once per chunk, recorded once per cell: the count is cells and
+  // the sum is the chunks' time.
   EXPECT_EQ(registry.histogram("serve.sweep.cell_latency_ns").count(),
             latency_before + 4u);
+  EXPECT_GT(registry.histogram("serve.sweep.cell_latency_ns").sum(),
+            latency_sum_before);
   EXPECT_GT(registry.gauge("serve.sweep.cells_per_sec").value(), 0.0);
 }
 

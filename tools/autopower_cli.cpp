@@ -371,7 +371,8 @@ int cmd_sweep(const ArgMap& flags) {
   if (const auto it = flags.find("rank"); it != flags.end()) {
     spec.metric = serve::sweep_metric_from_string(it->second);
   }
-  spec.top = static_cast<std::size_t>(parse_int_flag(flags, "top", 0, 1));
+  // --top 0 (the default) reports every configuration.
+  spec.top = static_cast<std::size_t>(parse_int_flag(flags, "top", 0, 0));
   if (const auto it = flags.find("checkpoint"); it != flags.end()) {
     spec.checkpoint = it->second;
   }

@@ -18,7 +18,8 @@
 # simulator-economy bars into BENCH_explore.json, re-runs the
 # sweep/batch smokes under
 # AUTOPOWER_SIMD=scalar and diffs the JSONL byte-for-byte against the
-# best tier, runs the property-based differential + SIMD kernel oracles
+# best tier, diffs sweep (--top 0) and batch JSONL at 1 vs 4
+# threads, runs the property-based differential + SIMD kernel oracles
 # and the archive fuzz under AddressSanitizer, then race-checks the
 # threaded subsystems, the fault-injection suite, the SIMD dispatch
 # handoff, and the daemon under ThreadSanitizer.  Run
@@ -213,6 +214,21 @@ diff "$smoke_dir/sweep.jsonl" "$smoke_dir/sweep_scalar.jsonl" \
   || { echo "sweep output differs between SIMD tiers"; exit 1; }
 echo "sweep JSONL byte-identical across tiers"
 
+echo "== thread-count byte-identity (sweep --top 0 + batch JSONL) =="
+# Workers claim different chunks, and so evaluate different batches, at
+# different thread counts; the report must not change by one byte.  The
+# 48-config grid gives several multi-config chunks at every count.
+thread_grid="RobEntry=64,80,96,112;FetchBufferEntry=16,24,32"
+thread_grid+=";LdqStqEntry=16,24,32,40"
+for threads in 1 4; do
+  ./build/tools/autopower sweep --model "$smoke_dir/model.ap" \
+    --grid "$thread_grid" --workloads dhrystone,qsort --top 0 \
+    --threads "$threads" --out "$smoke_dir/sweep_t$threads.jsonl"
+done
+diff "$smoke_dir/sweep_t1.jsonl" "$smoke_dir/sweep_t4.jsonl" \
+  || { echo "sweep output differs between 1 and 4 threads"; exit 1; }
+echo "sweep JSONL byte-identical at 1 and 4 threads"
+
 echo "== daemon smoke: 100 requests over loopback, bit-identical to batch =="
 # A real `autopower serve` process on an ephemeral port; the same 100
 # requests go through the daemon (via tools/serve_client.py) and through
@@ -246,6 +262,14 @@ AUTOPOWER_SIMD=scalar ./build/tools/autopower batch \
 diff "$smoke_dir/batch_out.jsonl" "$smoke_dir/batch_scalar.jsonl" \
   || { echo "batch output differs between SIMD tiers"; exit 1; }
 echo "batch JSONL byte-identical across tiers"
+for threads in 1 4; do
+  ./build/tools/autopower batch --model "$smoke_dir/model.ap" \
+    --requests "$smoke_dir/daemon_reqs.jsonl" --threads "$threads" \
+    --out "$smoke_dir/batch_t$threads.jsonl"
+done
+diff "$smoke_dir/batch_t1.jsonl" "$smoke_dir/batch_t4.jsonl" \
+  || { echo "batch output differs between 1 and 4 threads"; exit 1; }
+echo "batch JSONL byte-identical at 1 and 4 threads"
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" \
   || { echo "daemon did not drain cleanly on SIGTERM"; exit 1; }
@@ -262,6 +286,12 @@ s.bind(("127.0.0.1", 0)); print(s.getsockname()[1]); s.close()')"
 ./build/tools/autopower serve --model "main=$smoke_dir/live.ap" \
   --port "$swap_port" --threads 2 &
 swap_pid=$!
+# The daemon reads live.ap at start-up; overwriting it before that read
+# finishes hands the daemon a torn archive.  A health probe (the client
+# retries until the daemon listens, i.e. after its load) orders the two.
+echo '{"cmd": "health"}' > "$smoke_dir/health.jsonl"
+python3 tools/serve_client.py --port "$swap_port" \
+  --requests "$smoke_dir/health.jsonl" --out "$smoke_dir/health_out.jsonl"
 # Overwrite the live archive while the daemon still serves the old
 # snapshot, then stream [50 reqs | {"cmd":"reload"} | same 50 reqs] on
 # ONE connection.  The swap linearizes with admission, so the first half
